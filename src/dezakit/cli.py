@@ -15,9 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from . import construct, decompose_search, fileio, scheme, verify
-from .finite_field import FiniteField, is_prime
-from .hadamard import (HadamardMatrix, factor_prime_power, is_normalized,
-                       normalize, paley_skew, sylvester)
+from .finite_field import odd_prime_power_field
+from .hadamard import HadamardMatrix, is_normalized, normalize, paley_skew, sylvester
 from .matrix_core import Digraph, SizeBoundError
 from .verify import DezaParams
 
@@ -25,13 +24,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_SIZE = 3
-
-
-def _odd_field(q: int) -> FiniteField:
-    p, m = factor_prime_power(q)
-    if not is_prime(p) or p == 2:
-        raise ValueError(f"q = {q} must be an odd prime power")
-    return FiniteField(p, m)
 
 
 def normalized_hadamard(order: int) -> HadamardMatrix:
@@ -55,16 +47,26 @@ def _write_digraph(d: Digraph, path: str):
     fileio.write_matrix(d.adjacency, path)
 
 
+def _required(args, fam: str, name: str):
+    """The value of option --name, which family fam cannot do without."""
+    value = getattr(args, name)
+    if value is None:
+        raise ValueError(f"{fam} needs --{name}")
+    return value
+
+
 def _cmd_construct(args) -> int:
     fam = args.family
     if fam == "lex-product":
+        if len(args.inputs) < 2:
+            raise ValueError("lex-product needs two input files")
         d1 = fileio.read_digraph(args.inputs[0])
         d2 = fileio.read_digraph(args.inputs[1])
         _write_digraph(construct.lex_product(d1, d2), args.out)
     elif fam == "skew-hadamard":
         if args.hadamard:
             h = _load_hadamard(args.hadamard)
-        elif args.u:
+        elif args.u is not None:
             h = paley_skew(4 * args.u - 1)
         else:
             raise ValueError("skew-hadamard needs --u or --hadamard")
@@ -74,7 +76,7 @@ def _cmd_construct(args) -> int:
             h = _load_hadamard(args.hadamard)
             if not is_normalized(h):
                 h = normalize(h)
-        elif args.order:
+        elif args.order is not None:
             h = normalized_hadamard(args.order)
         else:
             raise ValueError(f"{fam} needs --order or --hadamard")
@@ -90,17 +92,18 @@ def _cmd_construct(args) -> int:
         _write_digraph(ra, f"{base}_RA.txt")
         _write_digraph(rb, f"{base}_RB.txt")
     elif fam == "drt":
-        _write_digraph(scheme.paley_tournament(args.q), args.out)
+        _write_digraph(scheme.paley_tournament(_required(args, fam, "q")), args.out)
     elif fam == "field-type2":
-        field = _odd_field(args.q)
-        alpha = field.element(args.alpha)
-        _write_digraph(construct.field_type2(field, alpha), args.out)
+        field = odd_prime_power_field(_required(args, fam, "q"))
+        if not 0 <= args.alpha < field.q:
+            raise ValueError(f"--alpha {args.alpha} is not an element index in [0, {field.q})")
+        _write_digraph(construct.field_type2(field, field.element(args.alpha)), args.out)
     elif fam == "qr-design":
-        fileio.write_matrix(construct.qr_symmetric_design(args.q), args.out)
+        fileio.write_matrix(construct.qr_symmetric_design(_required(args, fam, "q")), args.out)
     elif fam == "paley-graph":
-        _write_digraph(construct.paley_graph(args.q), args.out)
+        _write_digraph(construct.paley_graph(_required(args, fam, "q")), args.out)
     elif fam == "empty":
-        _write_digraph(construct.empty_digraph(args.n), args.out)
+        _write_digraph(construct.empty_digraph(_required(args, fam, "n")), args.out)
     else:
         raise ValueError(f"unknown family {fam!r}")
     return EXIT_OK
@@ -221,7 +224,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_check_identities(args) -> int:
-    field = _odd_field(args.q)
+    field = odd_prime_power_field(args.q)
     report = construct.check_construction_identities(field)
     for check in report.checks:
         if check.passed:

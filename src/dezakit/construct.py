@@ -10,8 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .finite_field import Element, FiniteField, is_prime, rep
-from .hadamard import HadamardMatrix, factor_prime_power, is_normalized, is_skew_type
+from .finite_field import (Element, FiniteField, odd_prime_power_field,
+                           quadratic_character_matrix, rep)
+from .hadamard import HadamardMatrix, is_normalized, is_skew_type
 from .matrix_core import (Digraph, SignedMatrix, block_assemble, circulant,
                           exact_matmul, identity, kronecker, ones, zeros)
 from .verify import DesignParams, DezaParams, DsrgParams, verify_symmetric_design
@@ -186,40 +187,26 @@ def twin_directed(h: HadamardMatrix) -> tuple[TwinPair, tuple[Digraph, Digraph]]
 
 def quadratic_residue_matrix(field: FiniteField) -> np.ndarray:
     """0/1 matrix with (i, j) entry 1 iff e_j - e_i is a nonzero square."""
-    q = field.q
-    sq = field.nonzero_squares()
-    out = np.zeros((q, q), dtype=np.int64)
-    for i, a in enumerate(field.elements):
-        for j, b in enumerate(field.elements):
-            if field.sub(b, a) in sq:
-                out[i, j] = 1
-    return out
-
-
-def _odd_prime_power_field(q: int, congruence: int) -> FiniteField:
-    p, m = factor_prime_power(q)
-    if not is_prime(p) or p == 2:
-        raise ValueError(f"q = {q} must be an odd prime power")
-    if q % 4 != congruence:
-        raise ValueError(f"q = {q} must be congruent to {congruence} mod 4")
-    return FiniteField(p, m)
+    return (quadratic_character_matrix(field) == 1).astype(np.int64)
 
 
 def qr_symmetric_design(q: int) -> np.ndarray:
     """Incidence matrix of the quadratic-residue symmetric design
     (q, (q-1)/2, (q-3)/4) for a prime power q = 3 mod 4; zero diagonal."""
-    field = _odd_prime_power_field(q, 3)
-    n_matrix = quadratic_residue_matrix(field)
-    assert verify_symmetric_design(n_matrix) == DesignParams(q, (q - 1) // 2, (q - 3) // 4)
+    n_matrix = quadratic_residue_matrix(odd_prime_power_field(q, 3))
+    expected = DesignParams(q, (q - 1) // 2, (q - 3) // 4)
+    if verify_symmetric_design(n_matrix) != expected:
+        raise RuntimeError(f"quadratic residues of GF({q}) do not form "
+                           f"a {expected.as_tuple()} design")
     return n_matrix
 
 
 def paley_graph(q: int) -> Digraph:
     """The (q, (q-1)/2, (q-5)/4, (q-1)/4) strongly regular graph on the
     field of order q = 1 mod 4."""
-    field = _odd_prime_power_field(q, 1)
-    adj = quadratic_residue_matrix(field)
-    assert np.array_equal(adj, adj.T)
+    adj = quadratic_residue_matrix(odd_prime_power_field(q, 1))
+    if not np.array_equal(adj, adj.T):
+        raise RuntimeError(f"quadratic-residue matrix of GF({q}) is not symmetric")
     return Digraph(adj)
 
 

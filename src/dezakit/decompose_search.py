@@ -12,9 +12,9 @@ from math import isqrt
 
 import numpy as np
 
-from .matrix_core import Digraph, SizeBoundError, exact_matmul, identity, kronecker, ones
-from .verify import (DezaParams, DsrgParams, verify_deza_digraph, verify_dsrg,
-                     verify_symmetric_design, verify_type2)
+from .matrix_core import Digraph, SizeBoundError, identity, kronecker, ones
+from .verify import (DezaParams, DsrgParams, _equivalence_classes, verify_deza_digraph,
+                     verify_dsrg, verify_symmetric_design, verify_type2)
 
 SEARCH_MAX_ORDER = 10
 
@@ -31,26 +31,6 @@ class Decomposition:
         for v, c in enumerate(self.class_map):
             classes.setdefault(c, []).append(v)
         return [v for c in sorted(classes.values(), key=min) for v in c]
-
-
-def _classes_from_relation(rel: np.ndarray) -> list[list[int]] | None:
-    """Classes of a reflexive symmetric 0/1 relation, or None if it is
-    not an equivalence (some members relate to different sets)."""
-    n = rel.shape[0]
-    if not np.array_equal(rel, rel.T):
-        return None
-    classes = []
-    seen = np.zeros(n, dtype=bool)
-    for v in range(n):
-        if seen[v]:
-            continue
-        members = np.nonzero(rel[v])[0]
-        for u in members:
-            if not np.array_equal(rel[u], rel[v]):
-                return None
-        seen[members] = True
-        classes.append([int(u) for u in members])
-    return classes
 
 
 def _quotient_certificate(m: np.ndarray, classes: list[list[int]]) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -80,6 +60,21 @@ def _quotient_certificate(m: np.ndarray, classes: list[list[int]]) -> tuple[np.n
     return quotient, tuple(class_map)
 
 
+def _lex_quotient(d: Digraph, report, relation: str) -> tuple[np.ndarray, tuple[int, ...], int]:
+    """Quotient adjacency, class map and class size of the b-positions of
+    a verified report, made reflexive: the relation must be an
+    equivalence with classes of size beta + 1 that certify M = M_q x J."""
+    classes = _equivalence_classes(report.y_positions + identity(d.n))
+    if classes is None:
+        raise ValueError(f"the {relation} relation is not an equivalence")
+    n2 = report.beta + 1
+    sizes = {len(c) for c in classes}
+    if sizes != {n2}:
+        raise ValueError(f"classes have sizes {sorted(sizes)}, expected beta + 1 = {n2}")
+    quotient_m, class_map = _quotient_certificate(d.adjacency, classes)
+    return quotient_m, class_map, n2
+
+
 def decompose_b_eq_t(d: Digraph) -> Decomposition:
     """Write a b = t directed Deza graph as quotient[empty blocks].
 
@@ -97,16 +92,7 @@ def decompose_b_eq_t(d: Digraph) -> Decomposition:
     if params.a == params.b:
         raise ValueError("a = b leaves the quotient relation trivial; "
                          "decomposition requires two distinct path counts")
-    m = d.adjacency
-    s = exact_matmul(m, m)
-    rel = ((s == params.b) & ~np.eye(d.n, dtype=bool)).astype(np.int64) + identity(d.n)
-    classes = _classes_from_relation(rel)
-    if classes is None:
-        raise ValueError("the b-count relation is not an equivalence")
-    sizes = {len(c) for c in classes}
-    if sizes != {report.beta + 1}:
-        raise ValueError(f"classes have sizes {sorted(sizes)}, expected beta + 1 = {report.beta + 1}")
-    quotient_m, class_map = _quotient_certificate(m, classes)
+    quotient_m, class_map, n2 = _lex_quotient(d, report, "b-count")
     quotient = Digraph(quotient_m)
     qreport = verify_dsrg(quotient)
     if not qreport.ok:
@@ -114,7 +100,6 @@ def decompose_b_eq_t(d: Digraph) -> Decomposition:
     qp: DsrgParams = qreport.params
     if qp.lam != qp.mu:
         raise ValueError(f"quotient DSRG has lam = {qp.lam} != mu = {qp.mu}")
-    n2 = report.beta + 1
     law = (params.n == qp.n * n2 and params.k == qp.k * n2
            and params.b == qp.t * n2 and params.a == qp.lam * n2)
     if not law:
@@ -133,18 +118,8 @@ def decompose_type2_b_eq_k(d: Digraph) -> Decomposition:
         raise ValueError(f"b = {params.b} differs from k = {params.k}")
     if params.a == params.b:
         raise ValueError("a = b leaves the quotient relation trivial")
-    m = d.adjacency
-    g = exact_matmul(m, m.T)
-    rel = ((g == params.k) & ~np.eye(d.n, dtype=bool)).astype(np.int64) + identity(d.n)
-    classes = _classes_from_relation(rel)
-    if classes is None:
-        raise ValueError("the shared-neighbourhood relation is not an equivalence")
-    sizes = {len(c) for c in classes}
-    if sizes != {report.beta + 1}:
-        raise ValueError(f"classes have sizes {sorted(sizes)}, expected beta + 1 = {report.beta + 1}")
-    quotient_m, class_map = _quotient_certificate(m, classes)
+    quotient_m, class_map, n2 = _lex_quotient(d, report, "shared-neighbourhood")
     design = verify_symmetric_design(quotient_m)
-    n2 = report.beta + 1
     law = (params.n == design.n * n2 and params.k == design.k * n2
            and params.a == design.lam * n2)
     if not law:
@@ -353,8 +328,10 @@ def search_deza_digraphs(params: DezaParams, limit: int | None = None) -> list[D
     for m in _search(n, k, t, pair_values, limit):
         d = Digraph(m)
         report = verify_deza_digraph(d)
-        assert report.ok and report.params.as_tuple() in {
-            (n, k, b, a, t), (n, k, b, b, t), (n, k, a, a, t)}
+        if not report.ok or report.params.as_tuple() not in {
+                (n, k, b, a, t), (n, k, b, b, t), (n, k, a, a, t)}:
+            raise RuntimeError(f"search hit does not re-verify as {params}: "
+                               f"{report.witness or report.params}")
         out.append(d)
     return out
 
@@ -426,9 +403,11 @@ def search_dsrg(n_max: int, require_lambda_eq_mu: bool = False,
                     for m in _search(n, k, t, pair_values, limit_per_params):
                         d = Digraph(m)
                         report = verify_dsrg(d)
-                        assert report.ok
                         params = report.params
-                        assert params.as_tuple() == (n, k, lam, mu, t)
+                        if not report.ok or params.as_tuple() != (n, k, lam, mu, t):
+                            raise RuntimeError(
+                                f"search hit does not re-verify as DSRG {(n, k, lam, mu, t)}: "
+                                f"{report.witness or params}")
                         found.append((params, d))
     return found
 

@@ -28,12 +28,16 @@ class MatrixParseError(ValueError):
         self.column = column
 
 
-def write_matrix(m: np.ndarray, path) -> None:
+def _matrix_text(m: np.ndarray) -> str:
     m = as_int_matrix(m)
     tag = "signed" if (m < 0).any() else "binary"
     lines = [f"{m.shape[0]} {tag}"]
     lines.extend(" ".join(str(int(x)) for x in row) for row in m)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    return "\n".join(lines) + "\n"
+
+
+def write_matrix(m: np.ndarray, path) -> None:
+    Path(path).write_text(_matrix_text(m), encoding="ascii")
 
 
 def read_matrix(path) -> np.ndarray:
@@ -45,6 +49,8 @@ def read_matrix(path) -> np.ndarray:
     if len(header) != 2 or not header[0].isdigit() or header[1] not in ALPHABETS:
         raise MatrixParseError(1, 1, f"expected header '<order> <binary|signed>', got {lines[0]!r}")
     n = int(header[0])
+    if n == 0:
+        raise MatrixParseError(1, 1, "order must be positive")
     allowed = ALPHABETS[header[1]]
     if len(lines) < n + 1:
         raise MatrixParseError(len(lines) + 1, 1, f"expected {n} rows, file has {len(lines) - 1}")
@@ -115,10 +121,7 @@ def to_dot(d: Digraph) -> str:
 
 def export(d: Digraph, fmt: str) -> bytes:
     if fmt == "matrix01":
-        m = d.adjacency
-        text = f"{d.n} binary\n" + "\n".join(
-            " ".join(str(int(x)) for x in row) for row in m) + "\n"
-        return text.encode("ascii")
+        return _matrix_text(d.adjacency).encode("ascii")
     if fmt == "digraph6":
         return to_digraph6(d)
     if fmt == "dot":

@@ -1,6 +1,7 @@
-"""GF(p^m) arithmetic for odd p, plus the two field-matrix gadgets the
-constructions need: the multiplication table (a generalized Hadamard
-matrix) and the additive-group permutation representation.
+"""GF(p^m) arithmetic for odd p, plus the field-matrix gadgets the
+constructions need: the quadratic-character matrix, the multiplication
+table (a generalized Hadamard matrix) and the additive-group
+permutation representation.
 
 Elements are coefficient tuples (c0, ..., c_{m-1}), c_i the coefficient
 of x^i, each in [0, p).  The element enumeration lists coefficient
@@ -30,6 +31,23 @@ def is_prime(n: int) -> bool:
             return False
         d += 1
     return True
+
+
+def factor_prime_power(q: int) -> tuple[int, int]:
+    """Write q = p^m with p prime, or raise."""
+    if q < 2:
+        raise ValueError(f"{q} is not a prime power")
+    for p in range(2, q + 1):
+        if q % p == 0:
+            m = 0
+            r = q
+            while r % p == 0:
+                r //= p
+                m += 1
+            if r != 1:
+                raise ValueError(f"{q} is not a prime power")
+            return p, m
+    raise ValueError(f"{q} is not a prime power")
 
 
 def _poly_trim(c: list[int]) -> list[int]:
@@ -147,6 +165,32 @@ class FiniteField:
 
 def make_field(p: int, m: int) -> FiniteField:
     return FiniteField(p, m)
+
+
+def odd_prime_power_field(q: int, residue: int | None = None) -> FiniteField:
+    """GF(q) for an odd prime power q, which must be congruent to residue
+    mod 4 when residue is given."""
+    p, m = factor_prime_power(q)
+    if p == 2:
+        raise ValueError(f"q = {q} must be an odd prime power")
+    if residue is not None and q % 4 != residue:
+        raise ValueError(f"q = {q} must be congruent to {residue} mod 4")
+    return FiniteField(p, m)
+
+
+def quadratic_character_matrix(field: FiniteField) -> np.ndarray:
+    """The q x q matrix with (i, j) entry chi(e_j - e_i) in the element
+    order: 0 on the diagonal, +1 where e_j - e_i is a nonzero square and
+    -1 elsewhere."""
+    chi = np.full(field.q, -1, dtype=np.int64)
+    chi[0] = 0
+    chi[[field.index_of(s) for s in field.nonzero_squares()]] = 1
+    # elements are coefficient vectors in lexicographic order, so an
+    # element's index is its vector read as a base-p numeral
+    coords = np.array(field.elements, dtype=np.int64)
+    weights = field.p ** np.arange(field.m - 1, -1, -1, dtype=np.int64)
+    diff = (coords[None, :, :] - coords[:, None, :]) % field.p
+    return chi[diff @ weights]
 
 
 def field_arith(field: FiniteField, op: str, a: Element, b: Element | None = None) -> Element:

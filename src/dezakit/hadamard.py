@@ -8,7 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .finite_field import FiniteField, is_prime
+# factor_prime_power is imported for callers that take it from here
+from .finite_field import (factor_prime_power, odd_prime_power_field,  # noqa: F401
+                           quadratic_character_matrix)
 from .matrix_core import (SizeBoundError, as_int_matrix, exact_matmul,
                           identity, kronecker)
 
@@ -47,54 +49,19 @@ def sylvester(k: int) -> HadamardMatrix:
     return HadamardMatrix(h)
 
 
-def factor_prime_power(q: int) -> tuple[int, int]:
-    """Write q = p^m with p prime, or raise."""
-    if q < 2:
-        raise ValueError(f"{q} is not a prime power")
-    for p in range(2, q + 1):
-        if q % p == 0:
-            m = 0
-            r = q
-            while r % p == 0:
-                r //= p
-                m += 1
-            if r != 1:
-                raise ValueError(f"{q} is not a prime power")
-            return p, m
-    raise ValueError(f"{q} is not a prime power")
-
-
-def jacobsthal(field: FiniteField) -> np.ndarray:
-    """Matrix of quadratic-character values chi(e_j - e_i)."""
-    q = field.q
-    sq = field.nonzero_squares()
-    out = np.zeros((q, q), dtype=np.int64)
-    for i, a in enumerate(field.elements):
-        for j, b in enumerate(field.elements):
-            d = field.sub(b, a)
-            if d == field.zero:
-                continue
-            out[i, j] = 1 if d in sq else -1
-    return out
-
-
 def paley_skew(q: int) -> HadamardMatrix:
     """Skew-type Hadamard matrix of order q+1 for a prime power q = 3 mod 4."""
-    p, m = factor_prime_power(q)
-    if not is_prime(p) or p == 2:
-        raise ValueError(f"q = {q} must be an odd prime power")
-    if q % 4 != 3:
-        raise ValueError(f"q = {q} must be congruent to 3 mod 4")
+    field = odd_prime_power_field(q, 3)
     if q + 1 > _PALEY_MAX_ORDER:
         raise SizeBoundError(f"order {q + 1} exceeds the bound {_PALEY_MAX_ORDER}")
-    field = FiniteField(p, m)
     n = q + 1
     c = np.zeros((n, n), dtype=np.int64)
     c[0, 1:] = 1
     c[1:, 0] = -1
-    c[1:, 1:] = jacobsthal(field)
+    c[1:, 1:] = quadratic_character_matrix(field)
     h = HadamardMatrix(identity(n) + c)
-    assert is_skew_type(h)
+    if not is_skew_type(h):
+        raise RuntimeError(f"Paley matrix of q = {q} is not skew-type (H + H^t != 2I)")
     return h
 
 

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .finite_field import FiniteField, is_prime
-from .hadamard import factor_prime_power
+from .construct import quadratic_residue_matrix
+from .finite_field import odd_prime_power_field
 from .matrix_core import Digraph, exact_matmul, identity, ones
 from .verify import DezaParams, VerificationReport, verify_deza_digraph
 
@@ -145,19 +145,7 @@ def fusion_digraph(scheme: AssociationScheme, fuse) -> tuple[Digraph, FusionRepo
 def paley_tournament(q: int) -> Digraph:
     """Doubly regular tournament on the field of order q = 3 mod 4:
     u -> v iff v - u is a nonzero square."""
-    p, m = factor_prime_power(q)
-    if not is_prime(p) or p == 2:
-        raise ValueError(f"q = {q} must be an odd prime power")
-    if q % 4 != 3:
-        raise ValueError(f"q = {q} must be congruent to 3 mod 4")
-    field = FiniteField(p, m)
-    sq = field.nonzero_squares()
-    adj = np.zeros((q, q), dtype=np.int64)
-    for i, a in enumerate(field.elements):
-        for j, b in enumerate(field.elements):
-            if field.sub(b, a) in sq:
-                adj[i, j] = 1
-    return Digraph(adj)
+    return Digraph(quadratic_residue_matrix(odd_prime_power_field(q, 3)))
 
 
 def tournament_scheme(q: int) -> AssociationScheme:

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .matrix_core import Digraph, exact_matmul, identity, ones, zeros
+from .matrix_core import Digraph, exact_matmul, zeros
 
 NOT_MEMBER = "not_member"
 
@@ -43,15 +43,8 @@ class DezaGraphParams:
         return (self.n, self.k, self.b, self.a)
 
 
-@dataclass(frozen=True)
-class TypeIIParams:
-    n: int
-    k: int
-    b: int
-    a: int
-
-    def as_tuple(self):
-        return (self.n, self.k, self.b, self.a)
+# type-II graphs carry the same (n, k, b, a) as undirected Deza graphs
+TypeIIParams = DezaGraphParams
 
 
 @dataclass(frozen=True)
@@ -139,35 +132,6 @@ def _value_multiset(s: np.ndarray) -> str:
     return "{" + ", ".join(f"{int(v)}: {int(c)}" for v, c in zip(vals, counts)) + "}"
 
 
-def _split_two_values(s: np.ndarray, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-    """Indicator matrices of the a-positions and b-positions of s (off-diagonal).
-
-    When a == b the convention X = J - I, Y = O is used.
-    """
-    n = s.shape[0]
-    off = ~np.eye(n, dtype=bool)
-    if a == b:
-        return (ones(n) - identity(n)), zeros(n)
-    x = ((s == a) & off).astype(np.int64)
-    y = ((s == b) & off).astype(np.int64)
-    return x, y
-
-
-def _partner_counts(s: np.ndarray, a: int, b: int) -> tuple[int, int]:
-    """Per-vertex counts of partners realizing each value; constant by the
-    closed-form argument, so counting at one vertex suffices, but all
-    vertices are checked anyway."""
-    n = s.shape[0]
-    if n <= 1:
-        return 0, 0
-    off = ~np.eye(n, dtype=bool)
-    alpha_counts = ((s == a) & off).sum(axis=1)
-    beta_counts = ((s == b) & off).sum(axis=1)
-    assert (alpha_counts == alpha_counts[0]).all()
-    assert (beta_counts == beta_counts[0]).all()
-    return int(alpha_counts[0]), int(beta_counts[0])
-
-
 def _closed_form_counts(n: int, k: int, b: int, a: int, t: int):
     """Closed forms for the two per-vertex partner counts."""
     if a != b:
@@ -186,6 +150,50 @@ def _closed_form_counts(n: int, k: int, b: int, a: int, t: int):
 
 def _as_int(f: Fraction) -> int | None:
     return int(f) if f.denominator == 1 else None
+
+
+def _two_values(s: np.ndarray) -> tuple[list[int], int, int]:
+    """The sorted off-diagonal values of s and the pair (a, b) read off
+    them: the smallest and largest value, (0, 0) when there are none."""
+    vals = _offdiag_values(s)
+    a, b = (vals[0], vals[-1]) if vals else (0, 0)
+    return vals, a, b
+
+
+def _fit_two_valued(s: np.ndarray, k: int, t: int, counts: str,
+                    label) -> VerificationReport:
+    """Fit s = aX + bY + tI with X + Y + I = J and a <= b.
+
+    counts names the statistic in the witness when s takes more than two
+    values off the diagonal.  Otherwise X holds the a-positions and Y the
+    b-positions (X = J - I, Y = O when a = b), the partners realizing
+    each value are counted at every vertex and compared with their
+    closed forms, and label(a, b) gives the classification and params.
+    """
+    n = s.shape[0]
+    vals, a, b = _two_values(s)
+    if len(vals) > 2:
+        return _fail(f"{counts} take {len(vals)} values {_value_multiset(s)}")
+    off = ~np.eye(n, dtype=bool)
+    at_a, at_b = (s == a) & off, (s == b) & off
+    x = at_a.astype(np.int64)
+    y = at_b.astype(np.int64) if a != b else zeros(n)
+    alpha_counts, beta_counts = at_a.sum(axis=1), at_b.sum(axis=1)
+    alpha, beta = int(alpha_counts[0]), int(beta_counts[0])
+    # the row sums of s are constant, so each count is the same at every vertex
+    if (alpha_counts != alpha).any() or (beta_counts != beta).any():
+        raise RuntimeError(f"partner counts of the values ({a}, {b}) differ between "
+                           "vertices although the statistic has constant row sums")
+    af, bf = _closed_form_counts(n, k, b, a, t)
+    alpha_f, beta_f = _as_int(af), _as_int(bf)
+    tag, params = label(a, b)
+    return VerificationReport(
+        classification=tag, params=params,
+        alpha=alpha, beta=beta,
+        alpha_formula=alpha_f, beta_formula=beta_f,
+        consistent=alpha == alpha_f and beta == beta_f,
+        x_positions=x, y_positions=y,
+    )
 
 
 def verify_deza_digraph(d: Digraph) -> VerificationReport:
@@ -214,34 +222,9 @@ def verify_deza_digraph(d: Digraph) -> VerificationReport:
     if not (diag == t).all():
         u = int(np.argmax(diag != t))
         return _fail(f"diag(M^2) not constant: vertex {u} has {int(diag[u])}, vertex 0 has {t}")
-    vals = _offdiag_values(s)
-    if len(vals) > 2:
-        return _fail(f"off-diagonal path counts take {len(vals)} values {_value_multiset(s)}")
-    if not vals:
-        a = b = 0
-    elif len(vals) == 1:
-        a = b = vals[0]
-    else:
-        a, b = vals
-    x, y = _split_two_values(s, a, b)
-    alpha, beta = _partner_counts(s, a, b)
-    af, bf = _closed_form_counts(n, k, b, a, t)
-    alpha_f, beta_f = _as_int(af), _as_int(bf)
-    consistent = alpha == alpha_f and beta == beta_f
-    if t == k:
-        tag = "deza_graph"
-    elif a == b:
-        tag = "dsrg"
-    else:
-        tag = "deza_digraph"
-    return VerificationReport(
-        classification=tag,
-        params=DezaParams(n, k, b, a, t),
-        alpha=alpha, beta=beta,
-        alpha_formula=alpha_f, beta_formula=beta_f,
-        consistent=consistent,
-        x_positions=x, y_positions=y,
-    )
+    return _fit_two_valued(s, k, t, "off-diagonal path counts", lambda a, b: (
+        "deza_graph" if t == k else "dsrg" if a == b else "deza_digraph",
+        DezaParams(n, k, b, a, t)))
 
 
 def deza_children(report: VerificationReport) -> tuple[Digraph, Digraph]:
@@ -330,28 +313,8 @@ def verify_type2(d: Digraph) -> VerificationReport:
                      f"{int(g[u, v])} vs {int(g2[u, v])}")
     if not (np.diagonal(g) == k).all():
         return _fail(f"diag(M M^t) != k: {_value_multiset(g)}")
-    vals = _offdiag_values(g)
-    if len(vals) > 2:
-        return _fail(f"common-neighbour counts take {len(vals)} values {_value_multiset(g)}")
-    if not vals:
-        a = b = 0
-    elif len(vals) == 1:
-        a = b = vals[0]
-    else:
-        a, b = vals
-    x, y = _split_two_values(g, a, b)
-    alpha, beta = _partner_counts(g, a, b)
-    af, bf = _closed_form_counts(n, k, b, a, k)
-    alpha_f, beta_f = _as_int(af), _as_int(bf)
-    consistent = alpha == alpha_f and beta == beta_f
-    return VerificationReport(
-        classification="typeII",
-        params=TypeIIParams(n, k, b, a),
-        alpha=alpha, beta=beta,
-        alpha_formula=alpha_f, beta_formula=beta_f,
-        consistent=consistent,
-        x_positions=x, y_positions=y,
-    )
+    return _fit_two_valued(g, k, k, "common-neighbour counts",
+                           lambda a, b: ("typeII", TypeIIParams(n, k, b, a)))
 
 
 def _check_partition(n: int, partition) -> tuple[np.ndarray, int, int]:
@@ -495,34 +458,9 @@ def verify_deza_graph(d: Digraph, reflexive: bool = False) -> VerificationReport
     t_eff = int(s[0, 0])
     if not (np.diagonal(s) == t_eff).all():
         return _fail(f"diag(M^2) not constant: {_value_multiset(s)}")
-    vals = _offdiag_values(s)
-    if len(vals) > 2:
-        return _fail(f"common-neighbour counts take {len(vals)} values {_value_multiset(s)}")
-    if not vals:
-        a = b = 0
-    elif len(vals) == 1:
-        a = b = vals[0]
-    else:
-        a, b = vals
-    x, y = _split_two_values(s, a, b)
-    alpha, beta = _partner_counts(s, a, b)
-    af, bf = _closed_form_counts(n, k, b, a, t_eff)
-    alpha_f, beta_f = _as_int(af), _as_int(bf)
-    consistent = alpha == alpha_f and beta == beta_f
-    if reflexive:
-        tag = "reflexive_deza_graph"
-    elif a == b:
-        tag = "srg"
-    else:
-        tag = "deza_graph"
-    return VerificationReport(
-        classification=tag,
-        params=DezaGraphParams(n, k, b, a),
-        alpha=alpha, beta=beta,
-        alpha_formula=alpha_f, beta_formula=beta_f,
-        consistent=consistent,
-        x_positions=x, y_positions=y,
-    )
+    return _fit_two_valued(s, k, t_eff, "common-neighbour counts", lambda a, b: (
+        "reflexive_deza_graph" if reflexive else "srg" if a == b else "deza_graph",
+        DezaGraphParams(n, k, b, a)))
 
 
 @dataclass(frozen=True)
@@ -563,15 +501,10 @@ class ReflexiveReport:
 def _summarize_statistic(name: str, s: np.ndarray, n: int, k: int,
                          commute: bool | None) -> StatisticSummary:
     diag_vals = tuple(sorted(int(v) for v in np.unique(np.diagonal(s))))
-    vals = tuple(_offdiag_values(s))
-    two = len(vals) == 2 and len(diag_vals) == 1 and (commute is not False)
-    params = None
-    if two:
-        params = DezaGraphParams(n, k, vals[1], vals[0])
-    elif len(vals) == 1 and len(diag_vals) == 1 and (commute is not False):
-        params = DezaGraphParams(n, k, vals[0], vals[0])
-        two = True
-    return StatisticSummary(name, diag_vals, vals, commute, two, params)
+    vals, a, b = _two_values(s)
+    two = len(vals) in (1, 2) and len(diag_vals) == 1 and commute is not False
+    params = DezaGraphParams(n, k, b, a) if two else None
+    return StatisticSummary(name, diag_vals, tuple(vals), commute, two, params)
 
 
 def verify_reflexive_directed_deza(d: Digraph) -> ReflexiveReport:

@@ -63,6 +63,10 @@ def test_read_matrix_errors(tmp_path):
     path.write_text("2 binary\n0 x\n0 0\n")
     with pytest.raises(MatrixParseError):
         read_matrix(path)
+    path.write_text("0 binary\n")
+    with pytest.raises(MatrixParseError) as exc:
+        read_matrix(path)
+    assert exc.value.line == 1 and exc.value.column == 1
 
 
 def test_read_digraph_loops_flag(tmp_path):
@@ -239,8 +243,32 @@ def test_cli_size_bound_exit():
     assert run_cli("search", "--params", "12,2,1,0,0") == 3
 
 
-def test_cli_usage_error(tmp_path):
-    assert run_cli("construct", "skew-hadamard", "--out", tmp_path / "x.txt") == 2
+def test_cli_usage_error(tmp_path, capsys):
+    out = tmp_path / "x.txt"
+    empty = tmp_path / "empty.txt"
+    empty.write_text("0 binary\n")
+    rows = [
+        (("construct", "skew-hadamard", "--out", out), "skew-hadamard needs --u or --hadamard"),
+        (("construct", "drt", "--out", out), "drt needs --q"),
+        (("construct", "field-type2", "--out", out), "field-type2 needs --q"),
+        (("construct", "qr-design", "--out", out), "qr-design needs --q"),
+        (("construct", "paley-graph", "--out", out), "paley-graph needs --q"),
+        (("construct", "empty", "--out", out), "empty needs --n"),
+        (("construct", "lex-product", "--out", out), "lex-product needs two input files"),
+        (("construct", "lex-product", empty, "--out", out), "lex-product needs two input files"),
+        # zero is a value, so the error is about it and not a missing option
+        (("construct", "skew-hadamard", "--u", 0, "--out", out), "-1 is not a prime power"),
+        (("construct", "twin", "--order", 0, "--out", out),
+         "no built-in Hadamard matrix of order 0"),
+        (("construct", "field-type2", "--q", 3, "--alpha", 99, "--out", out), "--alpha 99"),
+        (("construct", "field-type2", "--q", 3, "--alpha", -1, "--out", out), "--alpha -1"),
+        (("verify", empty), "line 1, column 1"),
+    ]
+    for argv, message in rows:
+        assert run_cli(*argv) == 2, argv
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err, (argv, err)
+    assert not out.exists()
     with pytest.raises(SystemExit) as exc:
         run_cli("verify")
     assert exc.value.code == 2
