@@ -60,6 +60,8 @@ def _cmd_construct(args) -> int:
     if fam == "lex-product":
         if len(args.inputs) < 2:
             raise ValueError("lex-product needs two input files")
+        if len(args.inputs) > 2:
+            raise ValueError("lex-product takes exactly two input files")
         d1 = fileio.read_digraph(args.inputs[0])
         d2 = fileio.read_digraph(args.inputs[1])
         _write_digraph(construct.lex_product(d1, d2), args.out)

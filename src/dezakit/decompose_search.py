@@ -1,7 +1,8 @@
 """Parameter-driven classification made executable: recover the quotient
 of a b = t directed Deza graph (and the design quotient of a b = k
 type-II graph), enumerate small instances by exact backtracking, and
-compare digraphs up to isomorphism via a branch-and-bound canonical form.
+compare digraphs up to isomorphism via a canonical form found by
+individualisation-refinement with automorphism pruning.
 """
 
 from __future__ import annotations
@@ -412,50 +413,80 @@ def search_dsrg(n_max: int, require_lambda_eq_mu: bool = False,
     return found
 
 
+def _equitable(cells: list[list[int]], out: list[int], inn: list[int]) -> list[list[int]]:
+    """Refine an ordered partition to the coarsest equitable one: split
+    every cell by its vertices' out- and in-counts into each cell, parts
+    ordered by those counts (never by vertex id), until no cell splits."""
+    while True:
+        masks = [sum(1 << v for v in c) for c in cells]
+        refined = []
+        for c in cells:
+            if len(c) == 1:
+                refined.append(c)
+                continue
+            key = {v: ([(out[v] & m).bit_count() for m in masks],
+                       [(inn[v] & m).bit_count() for m in masks]) for v in c}.__getitem__
+            refined.extend(list(part) for _, part in itertools.groupby(sorted(c, key=key), key))
+        if len(refined) == len(cells):
+            return cells
+        cells = refined
+
+
+def _orbits(n: int, generators: list[list[int]], fixed: list[int]) -> list[int]:
+    """Orbit labels of the group generated by the generators fixing fixed pointwise."""
+    label = list(range(n))
+    for g in generators:
+        if all(g[v] == v for v in fixed):
+            for v in range(n):
+                old, new = label[g[v]], label[v]
+                label = [new if x == old else x for x in label]
+    return label
+
+
 def canonical_form(d: Digraph) -> bytes:
-    """A permutation-invariant certificate: the row-major adjacency of
-    the relabeling minimizing the staircase extension order (the cells
-    added when vertex r joins: column r, then row r), found by branch
-    and bound.  Equal certificates iff isomorphic; limited to order 10."""
+    """A permutation-invariant certificate: the smallest row-major 0/1
+    adjacency over the leaves of an individualisation-refinement search
+    (McKay & Piperno, JSC 60, 2014).  Each node refines its partition,
+    first split by loops, to the coarsest equitable one and individualises
+    each vertex of its first non-singleton cell; equal leaves give an
+    automorphism, and a child in the orbit of a tried sibling under the
+    automorphisms fixing the node's path is skipped.  Equal certificates
+    iff isomorphic; limited to order 10."""
     n = d.n
     if n > SEARCH_MAX_ORDER:
         raise SizeBoundError(f"canonical form is limited to order {SEARCH_MAX_ORDER}")
     a = d.adjacency
-    best: list[tuple[int, ...]] | None = None
+    bit = 1 << np.arange(n, dtype=np.int64)
+    out, inn, rows = [int(x) for x in a @ bit], [int(x) for x in a.T @ bit], a.tolist()
+    leaves: dict[bytes, tuple[list[int], list[int]]] = {}  # certificate -> (labels, path)
+    generators: list[list[int]] = []
+    unwind = n  # an automorphism covers the current child of the node at this depth
 
-    def segment(perm: list[int], v: int) -> tuple[int, ...]:
-        r = len(perm)
-        seg = []
-        for i in range(r):
-            seg.append(int(a[perm[i], v]))
-        for j in range(r):
-            seg.append(int(a[v, perm[j]]))
-        seg.append(int(a[v, v]))
-        return tuple(seg)
-
-    def extend(perm: list[int], segs: list[tuple[int, ...]], used: set[int]):
-        nonlocal best
-        r = len(perm)
-        if best is not None and segs > best[:r]:
+    def explore(cells: list[list[int]], path: list[int]) -> None:
+        nonlocal unwind
+        cells = _equitable(cells, out, inn)
+        target = next((i for i, c in enumerate(cells) if len(c) > 1), None)
+        if target is None:
+            labels = [c[0] for c in cells]
+            cert = bytes([rows[u][v] for u in labels for v in labels])
+            first_labels, first_path = leaves.setdefault(cert, (labels, path))
+            if first_labels is not labels:
+                # an automorphism; it fixes the common prefix of the two paths
+                generators.append([v for _, v in sorted(zip(first_labels, labels))])
+                unwind = next(i for i, (u, v) in enumerate(zip(first_path, path)) if u != v)
             return
-        if r == n:
-            if best is None or segs < best:
-                best = list(segs)
-                best_perm[:] = perm
-            return
-        for v in range(n):
-            if v in used:
+        cell, tried, orbit, known = cells[target], [], list(range(n)), 0
+        for w in cell:
+            if len(generators) > known:
+                orbit, known = _orbits(n, generators, path), len(generators)
+            if any(orbit[w] == orbit[u] for u in tried):
                 continue
-            seg = segs + [segment(perm, v)]
-            if best is not None and seg > best[:r + 1]:
-                continue
-            used.add(v)
-            perm.append(v)
-            extend(perm, seg, used)
-            perm.pop()
-            used.remove(v)
+            tried.append(w)
+            explore(cells[:target] + [[w], [u for u in cell if u != w]] + cells[target + 1:],
+                    path + [w])
+            if unwind < len(path):
+                return
+            unwind = n
 
-    best_perm: list[int] = []
-    extend([], [], set())
-    relabeled = a[np.ix_(best_perm, best_perm)]
-    return bytes(int(x) for x in relabeled.reshape(-1))
+    explore([c for c in ([v for v in range(n) if a[v, v] == x] for x in (0, 1)) if c], [])
+    return min(leaves)

@@ -54,6 +54,10 @@ def read_matrix(path) -> np.ndarray:
     allowed = ALPHABETS[header[1]]
     if len(lines) < n + 1:
         raise MatrixParseError(len(lines) + 1, 1, f"expected {n} rows, file has {len(lines) - 1}")
+    if len(text) < n * (2 * n - 1):  # some row is too short for n tokens
+        i = next(i for i in range(1, n + 1) if len(lines[i]) < 2 * n - 1)
+        got = len(lines[i].split())
+        raise MatrixParseError(i + 1, got + 1, f"expected {n} tokens, got {got}")
     out = np.zeros((n, n), dtype=np.int64)
     for i in range(n):
         tokens = lines[i + 1].split()

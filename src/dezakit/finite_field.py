@@ -37,7 +37,8 @@ def factor_prime_power(q: int) -> tuple[int, int]:
     """Write q = p^m with p prime, or raise."""
     if q < 2:
         raise ValueError(f"{q} is not a prime power")
-    for p in range(2, q + 1):
+    p = 2
+    while p * p <= q:
         if q % p == 0:
             m = 0
             r = q
@@ -47,7 +48,8 @@ def factor_prime_power(q: int) -> tuple[int, int]:
             if r != 1:
                 raise ValueError(f"{q} is not a prime power")
             return p, m
-    raise ValueError(f"{q} is not a prime power")
+        p += 1
+    return q, 1
 
 
 def _poly_trim(c: list[int]) -> list[int]:

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -256,6 +258,8 @@ def test_cli_usage_error(tmp_path, capsys):
         (("construct", "empty", "--out", out), "empty needs --n"),
         (("construct", "lex-product", "--out", out), "lex-product needs two input files"),
         (("construct", "lex-product", empty, "--out", out), "lex-product needs two input files"),
+        (("construct", "lex-product", empty, empty, empty, "--out", out),
+         "lex-product takes exactly two input files"),
         # zero is a value, so the error is about it and not a missing option
         (("construct", "skew-hadamard", "--u", 0, "--out", out), "-1 is not a prime power"),
         (("construct", "twin", "--order", 0, "--out", out),
@@ -272,6 +276,24 @@ def test_cli_usage_error(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("verify")
     assert exc.value.code == 2
+
+
+def test_cli_large_prime_fails_at_once(tmp_path, capsys):
+    # trial division stops at sqrt(q), about 31,600 steps, before the
+    # field's order bound rejects q; dividing up to q took over a minute
+    out = tmp_path / "drt.txt"
+    start = time.perf_counter()
+    assert run_cli("construct", "drt", "--q", 1000000007, "--out", out) == 2
+    assert time.perf_counter() - start < 5
+    assert "exceeds the bound" in capsys.readouterr().err and not out.exists()
+
+
+def test_cli_short_file_with_large_header(tmp_path, capsys):
+    # order 50,000 would be a 20 GB array; the text cannot hold it
+    path = tmp_path / "huge.txt"
+    path.write_text("50000 binary\n" + "\n" * 50000)
+    assert run_cli("verify", path) == 2
+    assert "line 2, column 1: expected 50000 tokens, got 0" in capsys.readouterr().err
 
 
 def test_cli_field_type2(tmp_path):

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from dezakit.finite_field import (field_arith,
+from dezakit.finite_field import (factor_prime_power, field_arith,
                                   is_generalized_hadamard, make_field,
                                   multiplication_table, rep)
 from dezakit.matrix_core import identity, ones
@@ -72,6 +72,24 @@ def test_make_field_rejects_bad_input():
         make_field(9, 1)
     with pytest.raises(ValueError):
         make_field(3, 11)  # 3^11 exceeds the order bound
+
+
+def test_factor_prime_power_matches_naive_loop():
+    def naive(q):
+        for p in range(2, q + 1):
+            if q % p == 0:
+                m = 0
+                while q % p == 0:
+                    q //= p
+                    m += 1
+                return (p, m) if q == 1 else None
+
+    for q in range(2, 5001):
+        try:
+            got = factor_prime_power(q)
+        except ValueError:
+            got = None
+        assert got == naive(q), q
 
 
 def test_multiplication_table_gf3():
