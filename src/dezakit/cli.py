@@ -114,9 +114,10 @@ def _cmd_construct(args) -> int:
 _CLASSIFIERS = ("deza", "deza2", "dsrg", "ddd", "deza-graph", "reflexive", "design")
 
 
-def _run_classifier(name: str, d: Digraph, m: np.ndarray, partition) -> dict:
-    """One classifier, as a JSON-ready result dict; exceptions become
-    failed results with the message as witness."""
+def _run_classifier(name: str, d: Digraph, m: np.ndarray, partition):
+    """One classifier, as a JSON-ready result dict and the verifier's
+    report (None when there is none to reuse); exceptions become failed
+    results with the message as witness."""
     try:
         if name == "deza":
             rep = verify.verify_deza_digraph(d)
@@ -134,28 +135,28 @@ def _run_classifier(name: str, d: Digraph, m: np.ndarray, partition) -> dict:
         elif name == "design":
             params = verify.verify_symmetric_design(m)
             return {"classifier": name, "ok": True, "classification": "design",
-                    "params": fileio.report_to_dict(params)}
+                    "params": fileio.report_to_dict(params)}, None
         elif name == "ddd":
             classes = partition
             if classes is None:
                 classes = verify.discover_ddd_partition(d)
             if classes is None:
                 return {"classifier": name, "ok": False,
-                        "witness": "no partition given and discovery failed"}
+                        "witness": "no partition given and discovery failed"}, None
             rep = verify.verify_ddd(d, classes)
             out = fileio.report_to_dict(rep)
             out.update({"classifier": name, "ok": rep.ok, "partition": classes})
-            return out
+            return out, rep
         else:
             raise ValueError(f"unknown classifier {name}")
     except (ValueError, ZeroDivisionError) as exc:
-        return {"classifier": name, "ok": False, "witness": str(exc)}
+        return {"classifier": name, "ok": False, "witness": str(exc)}, None
     out = fileio.report_to_dict(rep)
     # children matrices are bulky; reports reference them by shape only
     out.pop("x_positions", None)
     out.pop("y_positions", None)
     out.update({"classifier": name, "ok": rep.ok})
-    return out
+    return out, rep
 
 
 def _read_partition(path: str) -> list[list[int]]:
@@ -172,17 +173,16 @@ def _cmd_verify(args) -> int:
     d = Digraph(m, loops_allowed=bool(np.diagonal(m).any()))
     partition = _read_partition(args.partition) if args.partition else None
     names = [args.classify_as] if args.classify_as else list(_CLASSIFIERS)
-    results = [_run_classifier(name, d, m, partition) for name in names]
-    if args.children_prefix:
-        deza_hits = [r for r in results if r.get("ok") and r["classifier"] == "deza"]
-        if deza_hits:
-            rep = verify.verify_deza_digraph(d)
-            x, y = verify.deza_children(rep)
-            x_path = f"{args.children_prefix}_X.txt"
-            y_path = f"{args.children_prefix}_Y.txt"
-            _write_digraph(x, x_path)
-            _write_digraph(y, y_path)
-            deza_hits[0]["children"] = {"x": x_path, "y": y_path}
+    runs = {name: _run_classifier(name, d, m, partition) for name in names}
+    results = [out for out, _ in runs.values()]
+    if args.children_prefix and "deza" in runs and runs["deza"][0]["ok"]:
+        out, rep = runs["deza"]
+        x, y = verify.deza_children(rep)
+        x_path = f"{args.children_prefix}_X.txt"
+        y_path = f"{args.children_prefix}_Y.txt"
+        _write_digraph(x, x_path)
+        _write_digraph(y, y_path)
+        out["children"] = {"x": x_path, "y": y_path}
     document = {"file": str(args.file), "order": d.n, "results": results}
     if args.report:
         fileio.write_report(document, args.report)

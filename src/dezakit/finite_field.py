@@ -104,8 +104,7 @@ class FiniteField:
             raise ValueError(f"p must be an odd prime, got {p}")
         if m < 1:
             raise ValueError("m must be a positive integer")
-        if p**m > MAX_ORDER:
-            raise ValueError(f"field order {p**m} exceeds the bound {MAX_ORDER}")
+        _check_order(p**m)
         self.p = p
         self.m = m
         self.q = p**m
@@ -169,9 +168,16 @@ def make_field(p: int, m: int) -> FiniteField:
     return FiniteField(p, m)
 
 
+def _check_order(q: int):
+    if q > MAX_ORDER:
+        raise ValueError(f"field order {q} exceeds the bound {MAX_ORDER}")
+
+
 def odd_prime_power_field(q: int, residue: int | None = None) -> FiniteField:
     """GF(q) for an odd prime power q, which must be congruent to residue
-    mod 4 when residue is given."""
+    mod 4 when residue is given.  The order bound is checked first, so a
+    huge q is rejected without factoring it."""
+    _check_order(q)
     p, m = factor_prime_power(q)
     if p == 2:
         raise ValueError(f"q = {q} must be an odd prime power")

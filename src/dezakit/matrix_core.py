@@ -46,7 +46,7 @@ def ones(n: int) -> np.ndarray:
 
 
 def max_abs(m: np.ndarray) -> int:
-    return 0 if m.size == 0 else int(np.abs(m).max())
+    return 0 if m.size == 0 else max(int(m.max()), -int(m.min()))
 
 
 def is_zero_one(m: np.ndarray) -> bool:
@@ -61,6 +61,11 @@ def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     computed with BLAS (every partial sum is an exact integer, so the
     result is bit-identical to integer arithmetic); otherwise the int64
     kernel is used.  Bounds beyond int64 raise SizeBoundError.
+
+    Square operands of order at least _BLAS_MIN_ORDER that are both
+    invariant under the cyclic index shift by h (see _shift_period) have
+    a product invariant under it too, so only its first h rows are
+    multiplied and the rest is read off them.
     """
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"dimension mismatch {a.shape} x {b.shape}")
@@ -70,10 +75,56 @@ def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise SizeBoundError(
             f"matrix product may exceed the 64-bit entry range (bound {bound})"
         )
-    if inner >= _BLAS_MIN_ORDER and bound < _FLOAT_EXACT_BOUND:
+    h = _shift_period(a, b) if inner >= _BLAS_MIN_ORDER else None
+    if h is not None:
+        return _expand_strip(_dense_matmul(a[:h], b, bound))
+    return _dense_matmul(a, b, bound)
+
+
+def _dense_matmul(a: np.ndarray, b: np.ndarray, bound: int) -> np.ndarray:
+    if a.shape[1] >= _BLAS_MIN_ORDER and bound < _FLOAT_EXACT_BOUND:
         c = a.astype(np.float64) @ b.astype(np.float64)
         return np.rint(c).astype(np.int64)
     return a @ b
+
+
+def _is_shift_invariant(m: np.ndarray, h: int) -> bool:
+    """m[i + h, j + h] == m[i, j] for all i, j, indices mod n: the four
+    rectangles cut by the wrap-around, each compared entry by entry."""
+    return (np.array_equal(m[h:, h:], m[:-h, :-h])
+            and np.array_equal(m[h:, :h], m[:-h, -h:])
+            and np.array_equal(m[:h, h:], m[-h:, :-h])
+            and np.array_equal(m[:h, :h], m[-h:, -h:]))
+
+
+def _shift_period(a: np.ndarray, b: np.ndarray) -> int | None:
+    """The smallest proper divisor h of n such that the n x n matrices a
+    and b are both invariant under the cyclic index shift by h, or None.
+
+    A candidate must first pass an O(n) screen of the first row and
+    column; it is then confirmed by an exact O(n^2) comparison.
+    """
+    n = a.shape[0]
+    if not a.shape == b.shape == (n, n):
+        return None
+    for h in (d for d in range(1, n // 2 + 1) if n % d == 0):
+        if all(np.array_equal(m[h], np.roll(m[0], h))
+               and np.array_equal(m[:, h], np.roll(m[:, 0], h)) for m in (a, b)):
+            if _is_shift_invariant(a, h) and _is_shift_invariant(b, h):
+                return h
+    return None
+
+
+def _expand_strip(strip: np.ndarray) -> np.ndarray:
+    """The shift-invariant n x n matrix whose first h rows are strip:
+    block (r, c) is strip block (c - r) mod g, with g = n / h.  Block
+    row r is strip rolled right by r * h columns, which is the window of
+    n columns starting at n - r * h in strip written twice side by side."""
+    h, n = strip.shape
+    windows = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate([strip, strip], axis=1), n, axis=1)
+    starts = n - h * np.arange(n // h)
+    return windows[np.arange(h)[None, :], starts[:, None]].reshape(n, n)
 
 
 def kronecker(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -104,7 +155,8 @@ def block_assemble(grid) -> np.ndarray:
             blk = np.asarray(blk)
             if blk.shape != (h, h):
                 raise ValueError(f"block order mismatch: {blk.shape} vs ({h}, {h})")
-    return np.block([[np.asarray(blk, dtype=np.int64) for blk in row] for row in grid])
+    g = len(grid)
+    return np.asarray(grid, dtype=np.int64).transpose(0, 2, 1, 3).reshape(g * h, g * h)
 
 
 def block_split(m: np.ndarray, h: int) -> list[list[np.ndarray]]:

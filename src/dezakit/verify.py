@@ -117,18 +117,33 @@ def _regularity(m: np.ndarray) -> tuple[int | None, str | None]:
     return k, None
 
 
-def _offdiag_values(s: np.ndarray) -> list[int]:
+def _offdiag(s: np.ndarray) -> np.ndarray:
+    """The off-diagonal entries of the square matrix s, as an (n-1) x n
+    array: the flat entries after the first, in rows of n + 1 whose last
+    entry is the next diagonal one (a view when s is contiguous)."""
     n = s.shape[0]
-    if n <= 1:
+    return s.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :-1]
+
+
+def _distinct(v: np.ndarray) -> list[int]:
+    """The sorted distinct values of v; min and max settle it without a
+    sort when there are at most two."""
+    if v.size == 0:
         return []
-    mask = ~np.eye(n, dtype=bool)
-    return sorted(int(v) for v in np.unique(s[mask]))
+    lo, hi = int(v.min()), int(v.max())
+    if lo == hi:
+        return [lo]
+    if ((v == lo) | (v == hi)).all():
+        return [lo, hi]
+    return [int(x) for x in np.unique(v)]
+
+
+def _offdiag_values(s: np.ndarray) -> list[int]:
+    return _distinct(_offdiag(s)) if s.shape[0] > 1 else []
 
 
 def _value_multiset(s: np.ndarray) -> str:
-    n = s.shape[0]
-    mask = ~np.eye(n, dtype=bool)
-    vals, counts = np.unique(s[mask], return_counts=True)
+    vals, counts = np.unique(_offdiag(s), return_counts=True)
     return "{" + ", ".join(f"{int(v)}: {int(c)}" for v, c in zip(vals, counts)) + "}"
 
 
@@ -174,8 +189,9 @@ def _fit_two_valued(s: np.ndarray, k: int, t: int, counts: str,
     vals, a, b = _two_values(s)
     if len(vals) > 2:
         return _fail(f"{counts} take {len(vals)} values {_value_multiset(s)}")
-    off = ~np.eye(n, dtype=bool)
-    at_a, at_b = (s == a) & off, (s == b) & off
+    at_a, at_b = s == a, s == b
+    np.fill_diagonal(at_a, False)
+    np.fill_diagonal(at_b, False)
     x = at_a.astype(np.int64)
     y = at_b.astype(np.int64) if a != b else zeros(n)
     alpha_counts, beta_counts = at_a.sum(axis=1), at_b.sum(axis=1)
@@ -284,14 +300,13 @@ def verify_dsrg(d: Digraph) -> VerificationReport:
     off = ~np.eye(n, dtype=bool)
     arc = (m == 1) & off
     non = (m == 0) & off
-    lam_vals = np.unique(s[arc]) if arc.any() else np.array([], dtype=np.int64)
-    mu_vals = np.unique(s[non]) if non.any() else np.array([], dtype=np.int64)
-    if lam_vals.size > 1:
-        return _fail(f"path counts on arcs not constant: {[int(v) for v in lam_vals]}")
-    if mu_vals.size > 1:
-        return _fail(f"path counts on non-arcs not constant: {[int(v) for v in mu_vals]}")
-    lam = int(lam_vals[0]) if lam_vals.size else (int(mu_vals[0]) if mu_vals.size else 0)
-    mu = int(mu_vals[0]) if mu_vals.size else lam
+    lam_vals, mu_vals = _distinct(s[arc]), _distinct(s[non])
+    if len(lam_vals) > 1:
+        return _fail(f"path counts on arcs not constant: {lam_vals}")
+    if len(mu_vals) > 1:
+        return _fail(f"path counts on non-arcs not constant: {mu_vals}")
+    lam = lam_vals[0] if lam_vals else (mu_vals[0] if mu_vals else 0)
+    mu = mu_vals[0] if mu_vals else lam
     tag = "srg" if np.array_equal(m, m.T) else "dsrg"
     return VerificationReport(classification=tag, params=DsrgParams(n, k, lam, mu, t))
 
@@ -356,21 +371,22 @@ def verify_ddd(d: Digraph, partition) -> VerificationReport:
         return _fail(witness)
     gout = exact_matmul(m, m.T)
     gin = exact_matmul(m.T, m)
-    same = label[:, None] == label[None, :]
-    off = ~np.eye(n, dtype=bool)
+    across_mask = label[:, None] != label[None, :]
+    within_mask = ~across_mask
+    np.fill_diagonal(within_mask, False)
     lam1 = lam2 = None
     for g, name in ((gout, "dominated-by-both"), (gin, "dominates-both")):
-        within = np.unique(g[same & off]) if (same & off).any() else np.array([0])
-        across = np.unique(g[~same]) if (~same).any() else np.array([0])
-        if within.size > 1:
-            pair = np.argwhere(same & off & (g != int(within[0])))[0]
+        within = _distinct(g[within_mask]) or [0]
+        across = _distinct(g[across_mask]) or [0]
+        if len(within) > 1:
+            pair = np.argwhere(within_mask & (g != within[0]))[0]
             return _fail(f"{name} count not constant within classes: values "
-                         f"{[int(v) for v in within]}, witness pair {tuple(int(p) for p in pair)}")
-        if across.size > 1:
-            pair = np.argwhere((~same) & (g != int(across[0])))[0]
+                         f"{within}, witness pair {tuple(int(p) for p in pair)}")
+        if len(across) > 1:
+            pair = np.argwhere(across_mask & (g != across[0]))[0]
             return _fail(f"{name} count not constant across classes: values "
-                         f"{[int(v) for v in across]}, witness pair {tuple(int(p) for p in pair)}")
-        w, x = int(within[0]), int(across[0])
+                         f"{across}, witness pair {tuple(int(p) for p in pair)}")
+        w, x = within[0], across[0]
         if lam1 is None:
             lam1, lam2 = w, x
         elif (lam1, lam2) != (w, x):
@@ -394,16 +410,14 @@ def discover_ddd_partition(d: Digraph) -> list[list[int]] | None:
     if not ((m + m.T) <= 1).all():
         return None
     g = exact_matmul(m, m.T)
-    off = ~np.eye(n, dtype=bool)
-    vals, counts = np.unique(g[off], return_counts=True)
-    if vals.size > 2:
+    vals = _offdiag_values(g)
+    if len(vals) > 2:
         return None
-    candidates = [int(v) for _, v in sorted(zip(counts, vals))]
-    if vals.size == 1:
-        candidates = [int(vals[0])]
-    for v in candidates:
-        rel = (g == v) & off
-        classes = _equivalence_classes(rel | np.eye(n, dtype=bool))
+    # the rarer value first
+    for v in sorted(vals, key=lambda v: int((_offdiag(g) == v).sum())):
+        rel = g == v
+        np.fill_diagonal(rel, True)
+        classes = _equivalence_classes(rel)
         if classes is None:
             continue
         if len({len(c) for c in classes}) != 1:

@@ -288,6 +288,18 @@ def test_cli_large_prime_fails_at_once(tmp_path, capsys):
     assert "exceeds the bound" in capsys.readouterr().err and not out.exists()
 
 
+def test_cli_huge_q_rejected_before_factoring(tmp_path, capsys):
+    # q > 2^16 fails the field's order bound before any trial division;
+    # factoring this 16-digit prime first took seconds
+    out = tmp_path / "drt.txt"
+    start = time.perf_counter()
+    assert run_cli("construct", "drt", "--q", 1000000000000037, "--out", out) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert "field order 1000000000000037 exceeds the bound 65536" in err
+    assert not out.exists()
+
+
 def test_cli_short_file_with_large_header(tmp_path, capsys):
     # order 50,000 would be a 20 GB array; the text cannot hold it
     path = tmp_path / "huge.txt"

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from dezakit.matrix_core import (Digraph, SignedMatrix, SizeBoundError,
+from dezakit import construct, finite_field, hadamard
+from dezakit.matrix_core import (_shift_period, Digraph, SignedMatrix, SizeBoundError,
                                  as_int_matrix, block_assemble, block_split,
                                  circulant, exact_matmul, gram_products,
-                                 identity, kronecker, ones, zeros)
+                                 identity, kronecker, max_abs, ones, zeros)
 
 from conftest import DEZA_8_3_3_1_0, naive_matmul
 
@@ -179,3 +180,118 @@ def test_signed_matrix_parts():
     assert np.array_equal(s.positive_part() - s.negative_part(), s.matrix)
     with pytest.raises(ValueError):
         SignedMatrix(np.array([[0, 2], [0, 0]], dtype=np.int64))
+
+
+def test_block_assemble_matches_np_block():
+    rng = np.random.default_rng(14)
+    for g, h in ((1, 3), (3, 1), (4, 2), (5, 3)):
+        grid = [[rng.integers(-5, 6, (h, h)) for _ in range(g)] for _ in range(g)]
+        got = block_assemble(grid)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.block(grid))
+
+
+def test_max_abs_reads_extremes():
+    assert max_abs(np.zeros((0, 0), dtype=np.int64)) == 0
+    assert max_abs(np.array([[3, -7], [5, 1]], dtype=np.int64)) == 7
+    assert max_abs(np.array([[-3, 7]], dtype=np.int64)) == 7
+    # np.abs would wrap the most negative int64 to itself
+    assert max_abs(np.array([[np.iinfo(np.int64).min]], dtype=np.int64)) == 2**63
+
+
+def shift_invariant(rng, h, g, low=-3, high=4):
+    """A random order-gh matrix with m[i + h, j + h] = m[i, j], indices
+    mod gh: row i is row i mod h of a random strip, rolled right by the
+    start of i's block."""
+    n = g * h
+    strip = rng.integers(low, high, (h, n)).astype(np.int64)
+    i, j = np.indices((n, n))
+    return strip[i % h, (j - (i - i % h)) % n]
+
+
+def int64_oracle(a, b):
+    return a.astype(np.int64) @ b.astype(np.int64)
+
+
+@pytest.mark.parametrize("h, gs", [(1, (128, 131)), (3, (43, 50)), (7, (19, 24)),
+                                   (16, (8, 9)), (128, (2, 3))])
+def test_shift_invariant_products_match_int64(h, gs):
+    rng = np.random.default_rng(1000 + h)
+    for g in gs:
+        m = shift_invariant(rng, h, g)
+        assert _shift_period(m, m) == _shift_period(m, m.T) == h
+        for a, b in ((m, m), (m, m.T), (m.T, m)):
+            assert np.array_equal(exact_matmul(a, b), int64_oracle(a, b))
+
+
+def test_zero_one_shift_invariant_products_match_int64():
+    rng = np.random.default_rng(15)
+    m = shift_invariant(rng, 16, 31, 0, 2)
+    for a, b in ((m, m), (m, m.T), (m.T, m)):
+        assert np.array_equal(exact_matmul(a, b), int64_oracle(a, b))
+
+
+def test_operands_with_different_periods():
+    rng = np.random.default_rng(16)
+    # periods 3 and 7 of order 147: the common period is their lcm, 21
+    a, b = shift_invariant(rng, 3, 49), shift_invariant(rng, 7, 21)
+    assert _shift_period(a, a) == 3 and _shift_period(b, b) == 7
+    assert _shift_period(a, b) == _shift_period(b.T, a) == 21
+    # periods 10 and 13 of order 130: the lcm is the order, no common period
+    c, d = shift_invariant(rng, 10, 13), shift_invariant(rng, 13, 10)
+    assert _shift_period(c, d) is None
+    # no period at all on one side
+    e = rng.integers(-3, 4, (147, 147))
+    assert _shift_period(a, e) is None and _shift_period(e, a) is None
+    for x, y in ((a, b), (b.T, a), (a.T, b.T), (c, d), (d, c.T), (a, e), (e, b)):
+        assert np.array_equal(exact_matmul(x, y), int64_oracle(x, y))
+
+
+@pytest.mark.parametrize("i, j", [(17, 34), (127, 1), (1, 127), (127, 127), (40, 95)])
+def test_near_miss_fails_the_full_check(i, j):
+    h = 16
+    m = shift_invariant(np.random.default_rng(17), h, 8, 0, 2)
+    assert _shift_period(m, m) == h
+    bad = m.copy()
+    bad[i, j] ^= 1
+    # the flip lies outside the screened first row, first column, row h
+    # and column h, so only the full comparison can reject h
+    assert np.array_equal(bad[h], np.roll(bad[0], h))
+    assert np.array_equal(bad[:, h], np.roll(bad[:, 0], h))
+    assert _shift_period(bad, bad) is None
+    assert _shift_period(m, bad) is None and _shift_period(bad.T, m) is None
+    for a, b in ((bad, bad), (bad, bad.T), (bad.T, bad), (m, bad)):
+        assert np.array_equal(exact_matmul(a, b), int64_oracle(a, b))
+
+
+def test_large_entries_take_the_int64_route():
+    m = shift_invariant(np.random.default_rng(18), 16, 16, -2**26, 2**26)
+    n = m.shape[0]
+    # past float64's exact range, still inside int64's
+    assert 2**53 <= n * max_abs(m) ** 2 < 2**63
+    assert _shift_period(m, m) == 16
+    for a, b in ((m, m), (m, m.T), (m.T, m)):
+        assert np.array_equal(exact_matmul(a, b), int64_oracle(a, b))
+
+
+def test_rectangular_operands_take_the_dense_route():
+    rng = np.random.default_rng(19)
+    m = shift_invariant(rng, 4, 64)
+    wide, tall = m[:128], m[:, :128]
+    assert _shift_period(wide, m) is None
+    for a, b in ((wide, m), (m, tall), (wide, tall), (tall, wide)):
+        assert np.array_equal(exact_matmul(a, b), int64_oracle(a, b))
+
+
+def test_detected_period_of_the_paper_families():
+    n = 16
+    pair, (ra, rb) = construct.twin_directed(hadamard.sylvester(4))
+    for m in (pair.positive_part.adjacency, pair.negative_part.adjacency,
+              ra.adjacency, rb.adjacency):
+        assert m.shape == ((2 * n - 1) * n,) * 2
+        assert _shift_period(m, m) == _shift_period(m, m.T) == n
+    for p, e in ((5, 1), (3, 2)):
+        field = finite_field.FiniteField(p, e)
+        for alpha in range(3):
+            m = construct.field_type2(field, field.element(alpha)).adjacency
+            assert _shift_period(m, m) == _shift_period(m.T, m) == field.q ** 2
