@@ -114,10 +114,12 @@ def _cmd_construct(args) -> int:
 _CLASSIFIERS = ("deza", "deza2", "dsrg", "ddd", "deza-graph", "reflexive", "design")
 
 
-def _run_classifier(name: str, d: Digraph, m: np.ndarray, partition):
-    """One classifier, as a JSON-ready result dict and the verifier's
-    report (None when there is none to reuse); exceptions become failed
-    results with the message as witness."""
+def _run_classifier(name: str, d: Digraph, m: np.ndarray, partition,
+                    children_prefix: str | None = None) -> dict:
+    """One classifier, as a JSON-ready result dict; exceptions become
+    failed results with the message as witness.  A deza hit with a
+    children prefix also writes its two position digraphs from the same
+    report and references them."""
     try:
         if name == "deza":
             rep = verify.verify_deza_digraph(d)
@@ -135,28 +137,34 @@ def _run_classifier(name: str, d: Digraph, m: np.ndarray, partition):
         elif name == "design":
             params = verify.verify_symmetric_design(m)
             return {"classifier": name, "ok": True, "classification": "design",
-                    "params": fileio.report_to_dict(params)}, None
+                    "params": fileio.report_to_dict(params)}
         elif name == "ddd":
             classes = partition
             if classes is None:
                 classes = verify.discover_ddd_partition(d)
             if classes is None:
                 return {"classifier": name, "ok": False,
-                        "witness": "no partition given and discovery failed"}, None
+                        "witness": "no partition given and discovery failed"}
             rep = verify.verify_ddd(d, classes)
             out = fileio.report_to_dict(rep)
             out.update({"classifier": name, "ok": rep.ok, "partition": classes})
-            return out, rep
+            return out
         else:
             raise ValueError(f"unknown classifier {name}")
     except (ValueError, ZeroDivisionError) as exc:
-        return {"classifier": name, "ok": False, "witness": str(exc)}, None
+        return {"classifier": name, "ok": False, "witness": str(exc)}
     out = fileio.report_to_dict(rep)
     # children matrices are bulky; reports reference them by shape only
     out.pop("x_positions", None)
     out.pop("y_positions", None)
     out.update({"classifier": name, "ok": rep.ok})
-    return out, rep
+    if name == "deza" and rep.ok and children_prefix:
+        x, y = verify.deza_children(rep)
+        paths = {"x": f"{children_prefix}_X.txt", "y": f"{children_prefix}_Y.txt"}
+        _write_digraph(x, paths["x"])
+        _write_digraph(y, paths["y"])
+        out["children"] = paths
+    return out
 
 
 def _read_partition(path: str) -> list[list[int]]:
@@ -173,16 +181,8 @@ def _cmd_verify(args) -> int:
     d = Digraph(m, loops_allowed=bool(np.diagonal(m).any()))
     partition = _read_partition(args.partition) if args.partition else None
     names = [args.classify_as] if args.classify_as else list(_CLASSIFIERS)
-    runs = {name: _run_classifier(name, d, m, partition) for name in names}
-    results = [out for out, _ in runs.values()]
-    if args.children_prefix and "deza" in runs and runs["deza"][0]["ok"]:
-        out, rep = runs["deza"]
-        x, y = verify.deza_children(rep)
-        x_path = f"{args.children_prefix}_X.txt"
-        y_path = f"{args.children_prefix}_Y.txt"
-        _write_digraph(x, x_path)
-        _write_digraph(y, y_path)
-        out["children"] = {"x": x_path, "y": y_path}
+    results = [_run_classifier(name, d, m, partition, args.children_prefix)
+               for name in names]
     document = {"file": str(args.file), "order": d.n, "results": results}
     if args.report:
         fileio.write_report(document, args.report)
