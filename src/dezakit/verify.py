@@ -139,7 +139,7 @@ def _distinct(v: np.ndarray) -> list[int]:
 
 
 def _offdiag_values(s: np.ndarray) -> list[int]:
-    return _distinct(_offdiag(s)) if s.shape[0] > 1 else []
+    return _distinct(_offdiag(s))
 
 
 def _value_multiset(s: np.ndarray) -> str:

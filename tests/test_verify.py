@@ -326,3 +326,16 @@ def test_type2_reconstruction_identity():
     lhs = p.a * rep.x_positions + p.b * rep.y_positions + p.k * identity(d.n)
     assert np.array_equal(lhs, m @ m.T)
     assert np.array_equal(lhs, m.T @ m)
+
+
+def test_offdiag_values_match_a_masked_sort():
+    from dezakit.verify import _offdiag_values
+    rng = np.random.default_rng(21)
+    for n in (1, 2, 3, 7, 16):
+        for high in (1, 2, 3, 9):
+            s = rng.integers(0, high, (n, n))
+            # a distinct diagonal must not leak into the off-diagonal values
+            np.fill_diagonal(s, 100)
+            for m in (s, s.T, s[::-1, ::-1]):
+                want = sorted({int(v) for v in m[~np.eye(n, dtype=bool)]})
+                assert _offdiag_values(m) == want
