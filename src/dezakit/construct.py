@@ -13,14 +13,16 @@ import numpy as np
 from .finite_field import (Element, FiniteField, odd_prime_power_field,
                            quadratic_character_matrix, rep)
 from .hadamard import HadamardMatrix, is_normalized, is_skew_type
-from .matrix_core import (Digraph, SignedMatrix, block_assemble, circulant,
-                          exact_matmul, identity, kronecker, ones, zeros)
+from .matrix_core import (Digraph, SignedMatrix, block_assemble, block_circulant,
+                          check_order, circulant, exact_matmul, identity,
+                          kronecker, ones, zeros)
 from .verify import DesignParams, DezaParams, DsrgParams, verify_symmetric_design
 
 
 def empty_digraph(n: int) -> Digraph:
     if n < 1:
         raise ValueError("need at least one vertex")
+    check_order(n)
     return Digraph(zeros(n))
 
 
@@ -40,6 +42,7 @@ def directed_cycle(n: int) -> Digraph:
 
 def lex_product(d1: Digraph, d2: Digraph) -> Digraph:
     """Lexicographic product: arcs follow d1 between blocks, d2 inside."""
+    check_order(d1.n * d2.n)
     m1, m2 = d1.adjacency, d2.adjacency
     adj = kronecker(m1, ones(d2.n)) + kronecker(identity(d1.n), m2)
     return Digraph(adj, loops_allowed=d1.loops_allowed or d2.loops_allowed)
@@ -100,23 +103,23 @@ class TwinPair:
         return [list(range(i * n, (i + 1) * n)) for i in range(count)]
 
 
-def _row_products(h: HadamardMatrix) -> list[np.ndarray]:
-    """C_i = r_i^t r_i for each row r_i of h."""
-    return [np.outer(h.matrix[i], h.matrix[i]).astype(np.int64)
-            for i in range(h.order)]
-
-
-def _substituted_circulant(symbols, blocks: dict[int, np.ndarray]) -> np.ndarray:
-    sym_circ = circulant(np.array(symbols, dtype=np.int64))
-    grid = [[blocks[int(s)] for s in row] for row in sym_circ]
-    return block_assemble(grid)
-
-
-def _zero_diagonal_blocks(m: np.ndarray, h: int) -> np.ndarray:
-    out = m.copy()
-    for i in range(m.shape[0] // h):
-        out[i * h:(i + 1) * h, i * h:(i + 1) * h] = 0
-    return out
+def _twin_pair(h: HadamardMatrix, sign: int) -> TwinPair:
+    """The signed block-circulant of order (2n-1)n with first block row
+    [O, C_2, ..., C_n, sign C_n, ..., sign C_2], where C_i = r_i^t r_i
+    for row r_i of h; the leading O is the zeroed diagonal block."""
+    if not is_normalized(h):
+        raise ValueError("Hadamard matrix must be normalized")
+    n = h.order
+    check_order((2 * n - 1) * n)
+    rows = h.matrix[list(range(n)) + list(range(n - 1, 0, -1))]
+    signs = np.array([0] + [1] * (n - 1) + [sign] * (n - 1), dtype=np.int64)
+    blocks = signs[:, None, None] * rows[:, :, None] * rows[:, None, :]
+    signed = SignedMatrix(block_circulant(
+        blocks.transpose(1, 0, 2).reshape(n, (2 * n - 1) * n)))
+    return TwinPair(signed,
+                    Digraph(signed.positive_part()),
+                    Digraph(signed.negative_part()),
+                    h.matrix, n)
 
 
 def twin_deza(h: HadamardMatrix) -> TwinPair:
@@ -127,18 +130,7 @@ def twin_deza(h: HadamardMatrix) -> TwinPair:
     C_i, the diagonal blocks are zeroed, and the result splits into its
     positive and negative parts.
     """
-    if not is_normalized(h):
-        raise ValueError("Hadamard matrix must be normalized")
-    n = h.order
-    c_blocks = _row_products(h)
-    blocks = {i: c_blocks[i - 1] for i in range(1, n + 1)}
-    symbols = list(range(1, n + 1)) + list(range(n, 1, -1))
-    k = _substituted_circulant(symbols, blocks)
-    signed = SignedMatrix(_zero_diagonal_blocks(k, n))
-    return TwinPair(signed,
-                    Digraph(signed.positive_part()),
-                    Digraph(signed.negative_part()),
-                    h.matrix, n)
+    return _twin_pair(h, 1)
 
 
 def siamese_reflexive(pair: TwinPair, h: HadamardMatrix) -> tuple[Digraph, Digraph]:
@@ -169,19 +161,7 @@ def twin_directed(h: HadamardMatrix) -> tuple[TwinPair, tuple[Digraph, Digraph]]
     cross-class counts take both n(n-2)/2 and n(n-1)/2, so those classes
     are not a DDD partition.
     """
-    if not is_normalized(h):
-        raise ValueError("Hadamard matrix must be normalized")
-    n = h.order
-    c_blocks = _row_products(h)
-    blocks = {i: c_blocks[i - 1] for i in range(1, n + 1)}
-    blocks.update({-i: -c_blocks[i - 1] for i in range(2, n + 1)})
-    symbols = list(range(1, n + 1)) + list(range(-n, -1))
-    k = _substituted_circulant(symbols, blocks)
-    signed = SignedMatrix(_zero_diagonal_blocks(k, n))
-    pair = TwinPair(signed,
-                    Digraph(signed.positive_part()),
-                    Digraph(signed.negative_part()),
-                    h.matrix, n)
+    pair = _twin_pair(h, -1)
     return pair, siamese_reflexive(pair, h)
 
 
@@ -219,6 +199,7 @@ def design_lex_empty(n_matrix: np.ndarray, n2: int) -> Digraph:
         raise ValueError("incidence matrix must have zero diagonal")
     if n2 < 1:
         raise ValueError("block size must be positive")
+    check_order(m.shape[0] * n2)
     return Digraph(kronecker(m, ones(n2)))
 
 
@@ -228,33 +209,6 @@ def design_lex_empty(n_matrix: np.ndarray, n2: int) -> Digraph:
 
 # a symbol is a field element or the literal "y" (the all-blocks marker)
 Symbol = Element | str
-
-_family_cache: dict[tuple[int, int], dict] = {}
-
-
-def _family(field: FiniteField) -> dict:
-    """Shared machinery for one field: shift matrices, symbol positions,
-    and rep images.  Fields are deterministic per (p, m), so the cache
-    key is the characteristic and degree."""
-    key = (field.p, field.m)
-    if key in _family_cache:
-        return _family_cache[key]
-    q = field.q
-    size = 2 * q + 3
-    row = np.zeros(size, dtype=np.int64)
-    row[1] = 1
-    v = circulant(row)
-    v_powers = [identity(size)]
-    for _ in range(2 * size):
-        v_powers.append(exact_matmul(v_powers[-1], v))
-    # positions: y sits next to the fixed symbol, the field elements follow
-    pos: dict[Symbol, int] = {"y": 1}
-    for i, e in enumerate(field.elements):
-        pos[e] = 2 + i
-    reps = {e: rep(field, e) for e in field.elements}
-    data = {"v_powers": v_powers, "pos": pos, "reps": reps, "size": size}
-    _family_cache[key] = data
-    return data
 
 
 def symbol_row(field: FiniteField) -> list:
@@ -269,25 +223,37 @@ def symbol_row(field: FiniteField) -> list:
     return row
 
 
+def _position(field: FiniteField, a: Symbol) -> int:
+    """The first column of symbol_row holding the symbol a."""
+    if a == "y":
+        return 1
+    field.check_member(a)
+    return 2 + field.index_of(a)
+
+
+def _indicator_circulant(size: int, offsets) -> np.ndarray:
+    """The 0/1 circulant of order size whose first row marks offsets."""
+    row = np.zeros(size, dtype=np.int64)
+    row[[o % size for o in offsets]] = 1
+    return circulant(row)
+
+
 def shift_indicator(field: FiniteField, a: Symbol) -> np.ndarray:
     """P_a = V^{pos(a)} + V^{-pos(a)}: the 0/1 circulant marking where the
     symbol a sits in the symbolic circulant."""
-    fam = _family(field)
-    size = fam["size"]
-    j = fam["pos"][a]
-    return fam["v_powers"][j] + fam["v_powers"][size - j]
+    j = _position(field, a)
+    return _indicator_circulant(2 * field.q + 3, (j, -j))
 
 
 def auxiliary_matrix(field: FiniteField, a: Symbol, alpha: Element) -> np.ndarray:
     """C_{a, alpha}: for a field-element symbol, the block matrix with
     (beta, beta') block rep(a(-beta + beta') + alpha); for the symbol y,
     rep(alpha) x J_q."""
-    fam = _family(field)
-    reps = fam["reps"]
-    q = field.q
+    field.check_member(alpha)
     if a == "y":
-        return kronecker(reps[alpha], ones(q))
+        return kronecker(rep(field, alpha), ones(field.q))
     field.check_member(a)
+    reps = {e: rep(field, e) for e in field.elements}
     grid = []
     for beta in field.elements:
         row = []
@@ -305,41 +271,19 @@ def _symbols(field: FiniteField) -> list:
 def field_type2(field: FiniteField, alpha: Element) -> Digraph:
     """The order-(2q+3)q^2 digraph N_alpha = sum_a P_a x C_{a, alpha}.
 
+    It is the block-circulant whose first block row replaces each symbol
+    of symbol_row by C_{a, alpha} and the fixed symbol x by a zero block.
     N_0 is an undirected Deza graph; the other N_alpha are type-II
     directed Deza graphs, all with parameters
     (q^2(2q+3), 2q^2+2q, 3q, 2q).
     """
     field.check_member(alpha)
     q = field.q
-    total = (2 * q + 3) * q * q
-    acc = np.zeros((total, total), dtype=np.int64)
-    for a in _symbols(field):
-        acc += kronecker(shift_indicator(field, a), auxiliary_matrix(field, a, alpha))
-    return Digraph(acc)
-
-
-def field_type2_block_form(field: FiniteField, alpha: Element) -> np.ndarray:
-    """N_alpha assembled block-by-block from the symbolic circulant; the
-    symbol x contributes zero blocks.  Agrees with field_type2."""
-    row = symbol_row(field)
-    size = len(row)
-    q = field.q
-    zero = zeros(q * q)
-    cache: dict = {}
-    grid = []
-    for i in range(size):
-        line = []
-        for j in range(size):
-            sym = row[(j - i) % size]
-            if sym == "x":
-                line.append(zero)
-                continue
-            key = sym
-            if key not in cache:
-                cache[key] = auxiliary_matrix(field, sym, alpha)
-            line.append(cache[key])
-        grid.append(line)
-    return block_assemble(grid)
+    check_order((2 * q + 3) * q * q)
+    blocks = {a: auxiliary_matrix(field, a, alpha) for a in _symbols(field)}
+    blocks["x"] = zeros(q * q)
+    strip = np.concatenate([blocks[a] for a in symbol_row(field)], axis=1)
+    return Digraph(block_circulant(strip))
 
 
 @dataclass(frozen=True)
@@ -370,9 +314,7 @@ def check_construction_identities(field: FiniteField) -> IdentityReport:
     size = 2 * q + 3
     syms = _symbols(field)
     elems = field.elements
-    fam = _family(field)
-    reps = fam["reps"]
-    v_powers = fam["v_powers"]
+    reps = {e: rep(field, e) for e in elems}
     aux = {(a, al): auxiliary_matrix(field, a, al) for a in syms for al in elems}
     checks: list[IdentityCheck] = []
 
@@ -441,8 +383,8 @@ def check_construction_identities(field: FiniteField) -> IdentityReport:
                                         kronecker(reps[gamma] - identity(q), ones(q)))
                     + 2 * q * ones(size * q * q))
         for a in syms:
-            j = fam["pos"][a]
-            wave = v_powers[(2 * j) % size] + v_powers[(size - 2 * j) % size]
+            j = _position(field, a)
+            wave = _indicator_circulant(size, (2 * j, -2 * j))
             expected = expected + q * kronecker(wave, aux[(a, gamma)])
         return np.array_equal(exact_matmul(n_mats[al], n_mats[be]), expected)
 

@@ -15,7 +15,7 @@ import itertools
 
 import numpy as np
 
-from .matrix_core import circulant, identity, kronecker
+from .matrix_core import check_order, circulant, identity, kronecker
 
 MAX_ORDER = 2**16
 
@@ -190,6 +190,7 @@ def quadratic_character_matrix(field: FiniteField) -> np.ndarray:
     """The q x q matrix with (i, j) entry chi(e_j - e_i) in the element
     order: 0 on the diagonal, +1 where e_j - e_i is a nonzero square and
     -1 elsewhere."""
+    check_order(field.q)
     chi = np.full(field.q, -1, dtype=np.int64)
     chi[0] = 0
     chi[[field.index_of(s) for s in field.nonzero_squares()]] = 1

@@ -20,9 +20,18 @@ _FLOAT_EXACT_BOUND = 2**53
 # Below this order the generic int64 kernel is cheap enough.
 _BLAS_MIN_ORDER = 128
 
+# Largest order of a matrix the constructions will build (2 GiB as int64).
+MAX_ORDER = 2**14
+
 
 class SizeBoundError(ValueError):
     """An operation would exceed a declared size or entry-magnitude bound."""
+
+
+def check_order(n: int):
+    """Raise SizeBoundError if an n x n matrix would exceed MAX_ORDER."""
+    if n > MAX_ORDER:
+        raise SizeBoundError(f"order {n} exceeds the bound {MAX_ORDER}")
 
 
 def as_int_matrix(rows) -> np.ndarray:
@@ -65,7 +74,7 @@ def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Square operands of order at least _BLAS_MIN_ORDER that are both
     invariant under the cyclic index shift by h (see _shift_period) have
     a product invariant under it too, so only its first h rows are
-    multiplied and the rest is read off them.
+    multiplied and block_circulant expands them.
     """
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"dimension mismatch {a.shape} x {b.shape}")
@@ -77,7 +86,7 @@ def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         )
     h = _shift_period(a, b) if inner >= _BLAS_MIN_ORDER else None
     if h is not None:
-        return _expand_strip(_dense_matmul(a[:h], b, bound))
+        return block_circulant(_dense_matmul(a[:h], b, bound))
     return _dense_matmul(a, b, bound)
 
 
@@ -114,12 +123,20 @@ def _shift_period(a: np.ndarray, b: np.ndarray) -> int | None:
     return None
 
 
-def _expand_strip(strip: np.ndarray) -> np.ndarray:
-    """The shift-invariant n x n matrix whose first h rows are strip:
-    block (r, c) is strip block (c - r) mod g, with g = n / h.  Block
-    row r is strip rolled right by r * h columns, which is the window of
-    n columns starting at n - r * h in strip written twice side by side."""
+def block_circulant(strip) -> np.ndarray:
+    """The n x n block-circulant matrix with first block row strip, an
+    h x n array with h | n: block (r, c) is strip block (c - r) mod g,
+    with g = n / h.  Equivalently m[i + h, j + h] = m[i, j], indices
+    mod n.  Block row r is strip rolled right by r * h columns, which is
+    the window of n columns starting at n - r * h in strip written twice
+    side by side."""
+    strip = np.asarray(strip, dtype=np.int64)
+    if strip.ndim != 2 or strip.size == 0:
+        raise ValueError(f"strip must be a nonempty 2-D array, got shape {strip.shape}")
     h, n = strip.shape
+    if n % h != 0:
+        raise ValueError(f"strip height {h} does not divide its width {n}")
+    check_order(n)
     windows = np.lib.stride_tricks.sliding_window_view(
         np.concatenate([strip, strip], axis=1), n, axis=1)
     starts = n - h * np.arange(n // h)
@@ -139,9 +156,7 @@ def circulant(first_row) -> np.ndarray:
     row = np.asarray(first_row, dtype=np.int64)
     if row.ndim != 1 or row.size == 0:
         raise ValueError("first row must be a nonempty sequence")
-    n = row.size
-    idx = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
-    return row[idx]
+    return block_circulant(row[None, :])
 
 
 def block_assemble(grid) -> np.ndarray:

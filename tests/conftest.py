@@ -1,12 +1,18 @@
 """Shared test data: the two reference order-8 adjacency matrices, the
-Hadamard matrices they derive from, and session-cached search results."""
+Hadamard matrices they derive from, session-cached search results, and
+the hypothesis profile every property test runs under."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import dezakit as dz
+
+# the same examples on every run, and no wall-clock deadline to trip on
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 # directed (8, 3, 3, 1, 0)-Deza graph
 DEZA_8_3_3_1_0 = np.array([

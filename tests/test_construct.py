@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 
 import dezakit as dz
-from dezakit.construct import (check_construction_identities, design_lex_empty,
-                               field_type2, field_type2_block_form,
-                               lex_deza_condition, lex_product, paley_graph,
-                               qr_symmetric_design, siamese_reflexive,
+from dezakit.construct import (auxiliary_matrix, check_construction_identities,
+                               design_lex_empty, field_type2, lex_deza_condition,
+                               lex_product, paley_graph, qr_symmetric_design,
+                               shift_indicator, siamese_reflexive,
                                skew_hadamard_deza, symbol_row, twin_deza,
                                twin_directed)
-from dezakit.hadamard import paley_skew, sylvester
-from dezakit.matrix_core import Digraph, circulant, identity, kronecker, ones
+from dezakit.finite_field import quadratic_character_matrix
+from dezakit.hadamard import normalize, paley_skew, sylvester
+from dezakit.matrix_core import (MAX_ORDER, Digraph, SizeBoundError, circulant,
+                                 identity, kronecker, ones)
 from dezakit.verify import (DezaParams, DsrgParams, verify_ddd,
                             verify_deza_digraph, verify_deza_graph,
                             verify_dsrg, verify_type2)
@@ -161,6 +163,43 @@ def test_siamese_rejects_mismatched_hadamard(normalized_h4):
     pair = twin_deza(normalized_h4)
     with pytest.raises(ValueError):
         siamese_reflexive(pair, sylvester(2))
+
+
+def twin_block_oracle(h, sign):
+    """np.block of the symbolic circulant (1, ..., n, sign n, ..., sign 2)
+    of order 2n-1, symbol s replaced by sign(s) C_|s|, diagonal zeroed."""
+    n = h.order
+    c = [np.outer(r, r) for r in h.matrix]
+    symbols = list(range(1, n + 1)) + [sign * s for s in range(n, 1, -1)]
+    g = 2 * n - 1
+    return np.block([[np.zeros((n, n), dtype=np.int64) if i == j
+                      else np.sign(symbols[(j - i) % g]) * c[abs(symbols[(j - i) % g]) - 1]
+                      for j in range(g)] for i in range(g)])
+
+
+@pytest.mark.parametrize("h", [sylvester(k) for k in range(1, 5)]
+                         + [normalize(paley_skew(11))],
+                         ids=["sylvester2", "sylvester4", "sylvester8",
+                              "sylvester16", "paley12"])
+def test_twins_match_block_oracle(h):
+    assert np.array_equal(twin_deza(h).signed.matrix, twin_block_oracle(h, 1))
+    pair, _ = twin_directed(h)
+    assert np.array_equal(pair.signed.matrix, twin_block_oracle(h, -1))
+
+
+def test_constructions_reject_orders_above_the_bound():
+    # each raises before it allocates a matrix of the rejected order
+    cases = [
+        lambda: dz.empty_digraph(MAX_ORDER + 1),
+        lambda: lex_product(dz.empty_digraph(200), dz.empty_digraph(100)),
+        lambda: design_lex_empty(qr_symmetric_design(7), 3000),
+        lambda: field_type2(dz.make_field(23, 1), (0,)),
+        lambda: twin_deza(sylvester(7)),
+        lambda: quadratic_character_matrix(dz.make_field(16411, 1)),
+    ]
+    for build in cases:
+        with pytest.raises(SizeBoundError, match="exceeds the bound"):
+            build()
 
 
 def test_twin_requires_normalized():
@@ -318,11 +357,57 @@ def test_field_type2_family_commutes():
             assert np.array_equal(x @ y, y @ x)
 
 
-def test_field_type2_block_form_agrees():
+def kron_sum_oracle(field, alpha):
+    """N_alpha = sum_a P_a x C_{a, alpha}, P_a = V^j + V^-j for the
+    column j of symbol a in the symbol row and V the cyclic shift."""
+    row = symbol_row(field)
+    size = len(row)
+    v = np.roll(np.eye(size, dtype=np.int64), 1, axis=1)
+    total = 0
+    for j in range(1, size // 2 + 1):
+        p_a = (np.linalg.matrix_power(v, j)
+               + np.linalg.matrix_power(v, size - j))
+        total = total + np.kron(p_a, auxiliary_matrix(field, row[j], alpha))
+    return total
+
+
+@pytest.mark.parametrize("p,m,alpha_count", [
+    (3, 1, 3), (5, 1, 5), (7, 1, 7), (3, 2, 2),
+], ids=["q3", "q5", "q7", "q9"])
+def test_field_type2_matches_kron_sum(p, m, alpha_count):
+    f = dz.make_field(p, m)
+    for i in range(alpha_count):
+        alpha = f.element(i)
+        assert np.array_equal(field_type2(f, alpha).adjacency,
+                              kron_sum_oracle(f, alpha)), (f.q, alpha)
+
+
+def test_auxiliary_matrix_rejects_non_members():
     f = dz.make_field(3, 1)
-    for a in f.elements:
-        assert np.array_equal(field_type2_block_form(f, a),
-                              field_type2(f, a).adjacency)
+    # (7,) would reduce mod 3 to (1,) if it were not rejected
+    with pytest.raises(ValueError, match="not an element"):
+        auxiliary_matrix(f, (1,), (7,))
+    with pytest.raises(ValueError, match="not an element"):
+        auxiliary_matrix(f, "y", (7,))
+    with pytest.raises(ValueError, match="not an element"):
+        auxiliary_matrix(f, (5,), f.zero)
+    with pytest.raises(ValueError, match="not an element"):
+        auxiliary_matrix(f, "x", f.zero)
+
+
+def test_shift_indicator_rejects_non_members():
+    f = dz.make_field(3, 1)
+    for bad in ((3,), (0, 0), "x"):
+        with pytest.raises(ValueError, match="not an element"):
+            shift_indicator(f, bad)
+
+
+@pytest.mark.parametrize("p,m", [(3, 1), (3, 2)])
+def test_shift_indicators_cover_the_off_diagonal_once(p, m):
+    f = dz.make_field(p, m)
+    size = 2 * f.q + 3
+    total = sum(shift_indicator(f, a) for a in list(f.elements) + ["y"])
+    assert np.array_equal(total, ones(size) - identity(size))
 
 
 def test_identity_suite_q3():

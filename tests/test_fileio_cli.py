@@ -362,3 +362,20 @@ def test_cli_twin_from_paley_order(tmp_path):
     a = read_matrix(f"{base}_A.txt")
     rep = dz.verify_deza_graph(Digraph(a))
     assert rep.params.as_tuple() == (23 * 12, 11 * 12, 66, 60)
+
+
+@pytest.mark.parametrize("argv", [
+    ("twin-directed", "--order", 1024),
+    ("paley-graph", "--q", 65521),
+    ("empty", "--n", 1000000),
+], ids=["twin-directed", "paley-graph", "empty"])
+def test_cli_oversized_construct_exits_3(tmp_path, capsys, argv):
+    # each passes its own argument checks and would otherwise allocate a
+    # dense matrix of 8 GB to 8 TB before anything compared its order
+    out = tmp_path / "big"
+    start = time.perf_counter()
+    assert run_cli("construct", *argv, "--out", out) == 3
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert "exceeds" in err and "Traceback" not in err
+    assert not list(tmp_path.iterdir())

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dezakit import construct, finite_field, hadamard
-from dezakit.matrix_core import (_shift_period, Digraph, SignedMatrix, SizeBoundError,
-                                 as_int_matrix, block_assemble, block_split,
-                                 circulant, exact_matmul, gram_products,
-                                 identity, kronecker, max_abs, ones, zeros)
+from dezakit.matrix_core import (MAX_ORDER, _shift_period, Digraph, SignedMatrix,
+                                 SizeBoundError, as_int_matrix, block_assemble,
+                                 block_circulant, block_split, circulant,
+                                 exact_matmul, gram_products, identity,
+                                 kronecker, max_abs, ones, zeros)
 
 from conftest import DEZA_8_3_3_1_0, naive_matmul
 
@@ -64,6 +68,39 @@ def test_circulant_transpose_is_reversed_rotation():
 def test_circulant_rejects_empty():
     with pytest.raises(ValueError):
         circulant([])
+
+
+@st.composite
+def strips(draw):
+    """An h x n integer strip with h | n <= 64."""
+    n = draw(st.integers(1, 64))
+    h = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+    return draw(arrays(np.int64, (h, n), elements=st.integers(-2**62, 2**62)))
+
+
+@given(strips())
+def test_block_circulant_index_formula(strip):
+    h, n = strip.shape
+    m = block_circulant(strip)
+    assert np.array_equal(m[:h], strip)
+    i, j = np.indices((n, n))
+    assert np.array_equal(m, strip[i % h, (j - i + i % h) % n])
+    row = strip[0]
+    assert np.array_equal(circulant(row), row[(j - i) % n])
+
+
+@pytest.mark.parametrize("strip", [
+    np.arange(4), np.zeros((0, 0)), np.zeros((1, 0)), np.zeros((0, 3)),
+    np.zeros((3, 4)), np.zeros((2, 2, 2)),
+], ids=["1-D", "0x0", "1x0", "0x3", "3x4", "3-D"])
+def test_block_circulant_rejects_bad_shapes(strip):
+    with pytest.raises(ValueError):
+        block_circulant(strip)
+
+
+def test_block_circulant_order_bound():
+    with pytest.raises(SizeBoundError, match="exceeds the bound"):
+        block_circulant(np.zeros((1, MAX_ORDER + 1), dtype=np.int64))
 
 
 def test_block_assemble_single():
