@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -153,10 +154,12 @@ def _run_classifier(name: str, d: Digraph, m: np.ndarray, partition,
             raise ValueError(f"unknown classifier {name}")
     except (ValueError, ZeroDivisionError) as exc:
         return {"classifier": name, "ok": False, "witness": str(exc)}
-    out = fileio.report_to_dict(rep)
-    # children matrices are bulky; reports reference them by shape only
-    out.pop("x_positions", None)
-    out.pop("y_positions", None)
+    # children matrices are bulky and never written to the report
+    if isinstance(rep, verify.VerificationReport):
+        out = fileio.report_to_dict(replace(rep, x_positions=None, y_positions=None))
+        del out["x_positions"], out["y_positions"]
+    else:
+        out = fileio.report_to_dict(rep)
     out.update({"classifier": name, "ok": rep.ok})
     if name == "deza" and rep.ok and children_prefix:
         x, y = verify.deza_children(rep)

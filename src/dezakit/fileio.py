@@ -28,20 +28,53 @@ class MatrixParseError(ValueError):
         self.column = column
 
 
-def _matrix_text(m: np.ndarray) -> str:
+def _matrix_text(m: np.ndarray) -> bytes:
     m = as_int_matrix(m)
-    tag = "signed" if (m < 0).any() else "binary"
-    lines = [f"{m.shape[0]} {tag}"]
-    lines.extend(" ".join(str(int(x)) for x in row) for row in m)
-    return "\n".join(lines) + "\n"
+    n = m.shape[0]
+    # an empty matrix takes the general route below
+    lo, hi = (int(m.min()), int(m.max())) if m.size else (0, 2)
+    text = b"%d %s\n" % (n, b"signed" if lo < 0 else b"binary")
+    if lo == 0 and hi <= 1:  # digits at even offsets, separators at odd ones
+        rows = np.full((n, 2 * n), 32, dtype=np.uint8)
+        rows[:, 0::2] = m + 48
+        rows[:, -1] = 10
+        return text + rows.tobytes()
+    if lo == -1 and hi <= 1:  # sign byte, digit, separator; a 0 sign byte is dropped
+        cells = np.full((n, n, 3), 32, dtype=np.uint8)
+        cells[..., 0] = 45 * (m < 0)
+        cells[..., 1] = 48 + np.abs(m)
+        cells[:, -1, 2] = 10
+        cells = cells.reshape(-1)
+        return text + cells[cells != 0].tobytes()
+    return text + "".join(" ".join(str(int(x)) for x in row) + "\n"
+                          for row in m).encode("ascii")
 
 
 def write_matrix(m: np.ndarray, path) -> None:
-    Path(path).write_text(_matrix_text(m), encoding="ascii")
+    Path(path).write_bytes(_matrix_text(m))
 
 
-def read_matrix(path) -> np.ndarray:
-    text = Path(path).read_text(encoding="ascii")
+def _read_canonical(data: bytes) -> np.ndarray | None:
+    """The matrix of a file laid out exactly as write_matrix writes a 0/1
+    matrix, read without a per-token loop; None for any other file."""
+    head, newline, body = data.partition(b"\n")
+    order = head.removesuffix(b" binary")
+    # a canonical order has no sign, no leading zero and at most 9 digits
+    if not (newline and order.isdigit() and len(order) <= 9):
+        return None
+    n = int(order)
+    if n < 1 or head != b"%d binary" % n or len(body) != 2 * n * n:
+        return None
+    rows = np.frombuffer(body, dtype=np.uint8).reshape(n, 2 * n)
+    digits = rows[:, 0::2] - 48  # a byte below '0' wraps above 1
+    if (digits > 1).any() or (rows[:, 1:-1:2] != 32).any() or (rows[:, -1] != 10).any():
+        return None
+    return digits.astype(np.int64)
+
+
+def _scan_matrix(text: str) -> np.ndarray:
+    """Token-by-token parse of any matrix text; every malformed file
+    gets a MatrixParseError naming its line and column."""
     lines = text.splitlines()
     if not lines:
         raise MatrixParseError(1, 1, "empty file")
@@ -76,6 +109,15 @@ def read_matrix(path) -> np.ndarray:
     return out
 
 
+def read_matrix(path) -> np.ndarray:
+    data = Path(path).read_bytes()
+    m = _read_canonical(data)
+    if m is None:
+        # the newline translation that reading in text mode would apply
+        m = _scan_matrix(data.decode("ascii").replace("\r\n", "\n").replace("\r", "\n"))
+    return m
+
+
 def read_digraph(path) -> Digraph:
     m = read_matrix(path)
     if (m < 0).any():
@@ -98,21 +140,9 @@ def to_digraph6(d: Digraph) -> bytes:
     if np.diagonal(d.adjacency).any():
         raise ValueError("digraph6 does not support loops")
     bits = d.adjacency.reshape(-1)
-    out = bytearray(b"&")
-    out += _digraph6_order_bytes(d.n)
-    acc = 0
-    count = 0
-    for b in bits:
-        acc = (acc << 1) | int(b)
-        count += 1
-        if count == 6:
-            out.append(acc + 63)
-            acc = 0
-            count = 0
-    if count:
-        acc <<= (6 - count)
-        out.append(acc + 63)
-    return bytes(out)
+    bits = np.pad(bits, (0, -bits.size % 6)).reshape(-1, 6)
+    groups = bits @ np.array([32, 16, 8, 4, 2, 1]) + 63
+    return b"&" + _digraph6_order_bytes(d.n) + groups.astype(np.uint8).tobytes()
 
 
 def to_dot(d: Digraph) -> str:
@@ -125,7 +155,7 @@ def to_dot(d: Digraph) -> str:
 
 def export(d: Digraph, fmt: str) -> bytes:
     if fmt == "matrix01":
-        return _matrix_text(d.adjacency).encode("ascii")
+        return _matrix_text(d.adjacency)
     if fmt == "digraph6":
         return to_digraph6(d)
     if fmt == "dot":
@@ -135,7 +165,7 @@ def export(d: Digraph, fmt: str) -> bytes:
 
 def _jsonable(value):
     if isinstance(value, np.ndarray):
-        return [[int(x) for x in row] for row in value]
+        return value.astype(np.int64).tolist()  # bools as 0/1, as int() gives
     if is_dataclass(value):
         return {k: _jsonable(v) for k, v in asdict(value).items()}
     if isinstance(value, Fraction):

@@ -1,16 +1,23 @@
+import contextlib
+import io
 import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import dezakit as dz
-from dezakit.cli import main
-from dezakit.fileio import (MatrixParseError, export, load_report, read_digraph,
+from dezakit.cli import _CLASSIFIERS, main
+from dezakit.fileio import (MatrixParseError, _digraph6_order_bytes, _matrix_text,
+                            _scan_matrix, export, load_report, read_digraph,
                             read_matrix, to_digraph6, to_dot, write_matrix,
                             write_report)
 from dezakit.matrix_core import Digraph
 
-from conftest import DEZA_8_3_3_1_0, NORMALIZED_HADAMARD_4
+from conftest import (DEZA_8_3_3_1_0, DEZA_8_4_3_1_1, NORMALIZED_HADAMARD_4,
+                      SKEW_HADAMARD_4)
 
 
 def decode_digraph6(data: bytes) -> np.ndarray:
@@ -31,6 +38,87 @@ def decode_digraph6(data: bytes) -> np.ndarray:
     for i in range(n * n):
         m[i // n, i % n] = bits[i]
     return m
+
+
+def digraph6_bit_loop(d: Digraph) -> bytes:
+    """digraph6 packed one bit at a time: the oracle for to_digraph6."""
+    out = bytearray(b"&")
+    out += _digraph6_order_bytes(d.n)
+    acc = 0
+    count = 0
+    for b in d.adjacency.reshape(-1):
+        acc = (acc << 1) | int(b)
+        count += 1
+        if count == 6:
+            out.append(acc + 63)
+            acc = 0
+            count = 0
+    if count:
+        acc <<= (6 - count)
+        out.append(acc + 63)
+    return bytes(out)
+
+
+@st.composite
+def small_matrices(draw, max_order=40):
+    """A square matrix of order 1..max_order, binary or signed."""
+    n = draw(st.integers(1, max_order))
+    low = draw(st.sampled_from([0, -1]))
+    return draw(arrays(np.int64, (n, n), elements=st.integers(low, 1)))
+
+
+# bytes a one-byte edit draws from: digits, sign, and separators
+# that str.split or str.splitlines treat specially
+EDIT_BYTES = b"01-\n\r\t\x0b\x0c "
+
+
+@st.composite
+def edited_files(draw):
+    """The bytes write_matrix writes for a small matrix, after one edit."""
+    data = _matrix_text(draw(small_matrices(max_order=6)))
+    edit = draw(st.sampled_from(["change", "insert", "delete", "blank line",
+                                 "extra row", "no final newline", "crlf"]))
+    if edit in ("change", "insert", "delete"):
+        i = draw(st.integers(0, len(data) - (edit != "insert")))
+        byte = bytes([draw(st.sampled_from(EDIT_BYTES))])
+        tail = data[i:] if edit == "insert" else data[i + 1:]
+        return data[:i] + (b"" if edit == "delete" else byte) + tail
+    if edit == "blank line":
+        return data + b"\n"
+    if edit == "extra row":
+        return data + data.split(b"\n")[1] + b"\n"
+    if edit == "no final newline":
+        return data[:-1]
+    return data.replace(b"\n", b"\r\n")
+
+
+@given(small_matrices())
+def test_matrix_round_trip_property(tmp_path_factory, m):
+    path = tmp_path_factory.getbasetemp() / "round_trip.txt"
+    write_matrix(m, path)
+    got = read_matrix(path)
+    assert got.dtype == np.int64 and np.array_equal(got, m)
+
+
+@given(edited_files())
+@example(b"2\x0bbinary\n0 1\n1 0\n")  # str.splitlines breaks at \x0b
+# the short-row check counts characters after CRLF becomes LF: here it
+# reports line 3, where counting the CRs would report line 2
+@example(b"6 binary\r\n0 0 0 0 0 0 0\r\n0\r\n" + b"0 0 0 0 0\r\n" * 4)
+def test_read_matrix_agrees_with_the_scan(tmp_path_factory, data):
+    # the oracle is the token scan over the file read in text mode, as
+    # every file was read before the canonical fast path existed
+    path = tmp_path_factory.getbasetemp() / "edited.txt"
+    path.write_bytes(data)
+    try:
+        want = _scan_matrix(path.read_text(encoding="ascii"))
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            read_matrix(path)
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+    else:
+        got = read_matrix(path)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_matrix_round_trip(tmp_path):
@@ -91,6 +179,21 @@ def test_digraph6_round_trip(n):
     assert np.array_equal(decode_digraph6(to_digraph6(d)), m)
 
 
+@pytest.mark.parametrize("kind", ["random", "empty", "complete"])
+def test_digraph6_matches_bit_loop(kind):
+    # orders 62 and 63 straddle the one- and four-byte order encodings;
+    # 258 is the largest order exported
+    rng = np.random.default_rng(6)
+    for n in [*range(1, 71), 258]:
+        if kind == "random":
+            m = (rng.random((n, n)) < 0.5).astype(np.int64)
+        else:
+            m = np.full((n, n), int(kind == "complete"), dtype=np.int64)
+        np.fill_diagonal(m, 0)
+        d = Digraph(m)
+        assert to_digraph6(d) == digraph6_bit_loop(d), n
+
+
 def test_digraph6_rejects_loops_and_large():
     with pytest.raises(ValueError):
         to_digraph6(Digraph(np.eye(2, dtype=np.int64), loops_allowed=True))
@@ -120,6 +223,10 @@ def test_report_round_trip(tmp_path):
     path = tmp_path / "r.json"
     write_report(doc, path)
     assert load_report(path) == doc
+    # a numpy member is written as nested lists of ints, bools as 0/1
+    write_report({"x": np.eye(2, dtype=bool), "y": np.eye(2, dtype=np.int64)}, path)
+    assert path.read_text().count("true") == 0
+    assert load_report(path) == {"x": [[1, 0], [0, 1]], "y": [[1, 0], [0, 1]]}
 
 
 def run_cli(*argv):
@@ -278,6 +385,15 @@ def test_cli_usage_error(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+def test_cli_non_ascii_file(tmp_path, capsys):
+    # recorded from reading the file in text mode; reading bytes keeps it
+    path = tmp_path / "latin.txt"
+    path.write_bytes(b"2 binary\n0 \xff\n1 0\n")
+    assert run_cli("verify", path) == 2
+    assert capsys.readouterr().err == ("error: 'ascii' codec can't decode byte 0xff "
+                                       "in position 11: ordinal not in range(128)\n")
+
+
 def test_cli_large_prime_fails_at_once(tmp_path, capsys):
     # trial division stops at sqrt(q), about 31,600 steps, before the
     # field's order bound rejects q; dividing up to q took over a minute
@@ -379,3 +495,99 @@ def test_cli_oversized_construct_exits_3(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert "exceeds" in err and "Traceback" not in err
     assert not list(tmp_path.iterdir())
+
+
+# small ints for every numeric option; searches stay at order 6 or below,
+# or exceed the search bound and exit 3 before searching
+FUZZ_INT = st.integers(-2, 12).map(str)
+FUZZ_PARAMS = st.one_of(
+    st.tuples(st.sampled_from([0, 1, 3, 5, 6, 11, 12]), FUZZ_INT, FUZZ_INT, FUZZ_INT,
+              FUZZ_INT).map(lambda p: ",".join(map(str, p))),
+    st.sampled_from(["", "1,2", "a,b,c,d,e", "6,2,1,0,1,0"]))
+FUZZ_FILES = ["deza8.txt", "deza8b.txt", "h4.txt", "skew4.txt", "k28.txt", "loops.txt",
+              "crlf.txt", "vt.txt", "latin.txt", "empty.txt", "zero.txt", "short.txt",
+              "token.txt", "huge.txt", "classes.txt", "bad_classes.txt", "missing.txt", "."]
+FUZZ_FILE = st.sampled_from(FUZZ_FILES)
+# each subcommand's options, with the values they take
+FUZZ_OPTIONS = {
+    "construct": {"--u": FUZZ_INT, "--order": FUZZ_INT, "--q": FUZZ_INT,
+                  "--alpha": FUZZ_INT, "--n": FUZZ_INT, "--hadamard": FUZZ_FILE,
+                  "--out": st.just("out")},
+    "verify": {"--as": st.sampled_from([*_CLASSIFIERS, "none"]), "--partition": FUZZ_FILE,
+               "--report": st.just("out.json"), "--children-prefix": st.just("out")},
+    "children": {"--out-x": st.just("out_x.txt"), "--out-y": st.just("out_y.txt")},
+    "decompose": {"--mode": st.sampled_from(["b-eq-t", "b-eq-k", "b"]),
+                  "--out-quotient": st.just("out_q.txt")},
+    "check-identities": {"--q": FUZZ_INT},
+    "search": {"--params": FUZZ_PARAMS, "--limit": FUZZ_INT, "--canonical-dedup": None},
+    "feasibility": {"--params": FUZZ_PARAMS},
+    "nonsense": {},
+}
+FUZZ_FAMILIES = ["lex-product", "skew-hadamard", "twin", "twin-directed", "drt",
+                 "field-type2", "qr-design", "paley-graph", "empty", "cube"]
+
+
+# options without which argparse exits 2; the fuzz leaves each out rarely
+FUZZ_REQUIRED = {"construct": ["--out"], "children": ["--out-x", "--out-y"],
+                 "decompose": ["--out-quotient"], "check-identities": ["--q"],
+                 "search": ["--params"], "feasibility": ["--params"]}
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(sorted(FUZZ_OPTIONS)))
+    argv = [command]
+    if command == "construct":
+        argv.append(draw(st.sampled_from(FUZZ_FAMILIES)))
+        argv += draw(st.lists(FUZZ_FILE, max_size=3))
+    elif command in ("verify", "children", "decompose"):
+        argv += draw(st.lists(FUZZ_FILE, min_size=1, max_size=2))
+    options = FUZZ_OPTIONS[command]
+    flags = [f for f in FUZZ_REQUIRED.get(command, []) if draw(st.integers(0, 9))]
+    if options:
+        flags += draw(st.lists(st.sampled_from(sorted(options)), max_size=4, unique=True))
+    for flag in flags:
+        argv.append(flag)
+        if options[flag] is not None:
+            argv.append(draw(options[flag]))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """Valid and malformed input files; outputs go to out* names."""
+    root = tmp_path_factory.mktemp("fuzz")
+    write_matrix(DEZA_8_3_3_1_0, root / "deza8.txt")
+    write_matrix(DEZA_8_4_3_1_1, root / "deza8b.txt")
+    write_matrix(NORMALIZED_HADAMARD_4, root / "h4.txt")
+    write_matrix(SKEW_HADAMARD_4, root / "skew4.txt")
+    write_matrix(dz.twin_deza(dz.HadamardMatrix(NORMALIZED_HADAMARD_4)).signed.matrix,
+                 root / "k28.txt")
+    write_matrix(np.eye(3, dtype=np.int64), root / "loops.txt")
+    (root / "crlf.txt").write_bytes(_matrix_text(DEZA_8_3_3_1_0).replace(b"\n", b"\r\n"))
+    (root / "vt.txt").write_bytes(b"2\x0bbinary\n0 1\n1 0\n")
+    (root / "latin.txt").write_bytes(b"2 binary\n0 \xff\n1 0\n")
+    (root / "empty.txt").write_bytes(b"")
+    (root / "zero.txt").write_text("0 binary\n")
+    (root / "short.txt").write_text("3 binary\n0 1\n")
+    (root / "token.txt").write_text("2 binary\n0 2\n1 0\n")
+    (root / "huge.txt").write_text("50000 binary\n" + "\n" * 10)
+    (root / "classes.txt").write_text("0 1\n2 3\n4 5\n6 7\n")
+    (root / "bad_classes.txt").write_text("0 9\nx\n")
+    return root
+
+
+@settings(max_examples=200)
+@given(argv=cli_argv())
+def test_cli_exit_code_contract(fuzz_dir, argv):
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    err = io.StringIO()
+    # any exception other than argparse's SystemExit fails the property
+    with contextlib.chdir(fuzz_dir), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in err.getvalue()
