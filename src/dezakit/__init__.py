@@ -16,9 +16,9 @@ from .finite_field import (FiniteField, field_arith, is_generalized_hadamard,
                            make_field, multiplication_table, rep)
 from .hadamard import (HadamardMatrix, is_skew_type, normalize, paley_skew,
                        sylvester)
-from .matrix_core import (Digraph, SignedMatrix, SizeBoundError, block_assemble,
-                          block_circulant, block_split, circulant, exact_matmul,
-                          gram_products, kronecker)
+from .matrix_core import (Digraph, Products, SignedMatrix, SizeBoundError,
+                          block_assemble, block_circulant, block_split, circulant,
+                          exact_matmul, kronecker)
 from .scheme import (AssociationScheme, FusionReport, SchemeError,
                      fusion_digraph, paley_tournament, tournament_scheme,
                      verify_scheme)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ import numpy as np
 from . import construct, decompose_search, fileio, scheme, verify
 from .finite_field import odd_prime_power_field
 from .hadamard import HadamardMatrix, is_normalized, normalize, paley_skew, sylvester
-from .matrix_core import Digraph, SizeBoundError
+from .matrix_core import Digraph, Products, SizeBoundError
 from .verify import DezaParams
 
 EXIT_OK = 0
@@ -115,7 +116,7 @@ def _cmd_construct(args) -> int:
 _CLASSIFIERS = ("deza", "deza2", "dsrg", "ddd", "deza-graph", "reflexive", "design")
 
 
-def _run_classifier(name: str, d: Digraph, m: np.ndarray, partition,
+def _run_classifier(name: str, d: Digraph, products: Products, partition,
                     children_prefix: str | None = None) -> dict:
     """One classifier, as a JSON-ready result dict; exceptions become
     failed results with the message as witness.  A deza hit with a
@@ -123,30 +124,30 @@ def _run_classifier(name: str, d: Digraph, m: np.ndarray, partition,
     report and references them."""
     try:
         if name == "deza":
-            rep = verify.verify_deza_digraph(d)
+            rep = verify.verify_deza_digraph(d, products=products)
         elif name == "deza2":
-            rep = verify.verify_type2(d)
+            rep = verify.verify_type2(d, products=products)
         elif name == "dsrg":
-            rep = verify.verify_dsrg(d)
+            rep = verify.verify_dsrg(d, products=products)
         elif name == "deza-graph":
-            rep = verify.verify_deza_graph(d, reflexive=False)
+            rep = verify.verify_deza_graph(d, reflexive=False, products=products)
         elif name == "reflexive":
-            if np.array_equal(m, m.T):
-                rep = verify.verify_deza_graph(d, reflexive=True)
+            if np.array_equal(d.adjacency, d.adjacency.T):
+                rep = verify.verify_deza_graph(d, reflexive=True, products=products)
             else:
-                rep = verify.verify_reflexive_directed_deza(d)
+                rep = verify.verify_reflexive_directed_deza(d, products=products)
         elif name == "design":
-            params = verify.verify_symmetric_design(m)
+            params = verify.verify_symmetric_design(d.adjacency, products=products)
             return {"classifier": name, "ok": True, "classification": "design",
                     "params": fileio.report_to_dict(params)}
         elif name == "ddd":
             classes = partition
             if classes is None:
-                classes = verify.discover_ddd_partition(d)
+                classes = verify.discover_ddd_partition(d, products=products)
             if classes is None:
                 return {"classifier": name, "ok": False,
                         "witness": "no partition given and discovery failed"}
-            rep = verify.verify_ddd(d, classes)
+            rep = verify.verify_ddd(d, classes, products=products)
             out = fileio.report_to_dict(rep)
             out.update({"classifier": name, "ok": rep.ok, "partition": classes})
             return out
@@ -180,16 +181,15 @@ def _read_partition(path: str) -> list[list[int]]:
 
 
 def _cmd_verify(args) -> int:
-    m = fileio.read_matrix(args.file)
-    d = Digraph(m, loops_allowed=bool(np.diagonal(m).any()))
+    d = fileio.read_digraph(args.file)
+    products = Products(d.adjacency)
     partition = _read_partition(args.partition) if args.partition else None
     names = [args.classify_as] if args.classify_as else list(_CLASSIFIERS)
-    results = [_run_classifier(name, d, m, partition, args.children_prefix)
+    results = [_run_classifier(name, d, products, partition, args.children_prefix)
                for name in names]
     document = {"file": str(args.file), "order": d.n, "results": results}
     if args.report:
         fileio.write_report(document, args.report)
-    hits = [r for r in results if r.get("ok")]
     for r in results:
         status = "ok" if r.get("ok") else "failed"
         extra = ""
@@ -198,7 +198,7 @@ def _cmd_verify(args) -> int:
         elif r.get("witness"):
             extra = f" witness={r['witness']}"
         print(f"{r['classifier']}: {status}{extra}")
-    return EXIT_OK if hits else EXIT_VERIFY_FAILED
+    return EXIT_OK if any(r.get("ok") for r in results) else EXIT_VERIFY_FAILED
 
 
 def _cmd_children(args) -> int:
@@ -277,6 +277,7 @@ def _cmd_feasibility(args) -> int:
     return EXIT_OK if result.feasible else EXIT_VERIFY_FAILED
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dezakit",
                                      description="directed Deza graph toolkit")
@@ -338,8 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except SizeBoundError as exc:

@@ -154,6 +154,8 @@ def _search(n: int, k: int, t: int, allowed_pair_values, limit: int | None):
     chosen in ascending lexicographic order, so solutions appear in
     ascending adjacency order deterministically.
     """
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit {limit} is negative")
     if n > SEARCH_MAX_ORDER:
         raise SizeBoundError(f"search is limited to order {SEARCH_MAX_ORDER}")
     if k > n - 1 or t > k:

@@ -9,6 +9,7 @@ that every intermediate value is an exactly representable integer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -183,10 +184,17 @@ def block_split(m: np.ndarray, h: int) -> list[list[np.ndarray]]:
             for i in range(g)]
 
 
-def gram_products(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Return (m @ m, m @ m.T, m.T @ m)."""
-    mt = m.T
-    return exact_matmul(m, m), exact_matmul(m, mt), exact_matmul(mt, m)
+class Products:
+    """The products of one matrix m that the verifiers read: square = m m,
+    gram = m m^t and cogram = m^t m, each computed by exact_matmul on
+    first use and then shared by every reader of this object."""
+
+    def __init__(self, m: np.ndarray):
+        self.m = m
+
+    square = cached_property(lambda self: exact_matmul(self.m, self.m))
+    gram = cached_property(lambda self: exact_matmul(self.m, self.m.T))
+    cogram = cached_property(lambda self: exact_matmul(self.m.T, self.m))
 
 
 def _frozen(m: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .matrix_core import Digraph, exact_matmul, zeros
+from .matrix_core import Digraph, Products, as_int_matrix, zeros
 
 NOT_MEMBER = "not_member"
 
@@ -102,6 +102,13 @@ class VerificationReport:
 
 def _fail(witness: str) -> VerificationReport:
     return VerificationReport(classification=NOT_MEMBER, witness=witness)
+
+
+def _products_of(m: np.ndarray, products: Products | None) -> Products:
+    """products, which must be of m itself and not of a copy, or new ones."""
+    if products is not None and products.m is not m:
+        raise ValueError("products were computed from a different matrix")
+    return products or Products(m)
 
 
 def _regularity(m: np.ndarray) -> tuple[int | None, str | None]:
@@ -212,7 +219,7 @@ def _fit_two_valued(s: np.ndarray, k: int, t: int, counts: str,
     )
 
 
-def verify_deza_digraph(d: Digraph) -> VerificationReport:
+def verify_deza_digraph(d: Digraph, *, products: Products | None = None) -> VerificationReport:
     """Fit directed Deza parameters (n, k, b, a, t) to a loop-free digraph.
 
     The adjacency M must be regular, the diagonal of M^2 (equivalently
@@ -220,14 +227,14 @@ def verify_deza_digraph(d: Digraph) -> VerificationReport:
     M^2 two-valued.  The t = k case is flagged as an undirected Deza
     graph and the a = b case as a DSRG.
     """
-    m = d.adjacency
-    n = d.n
+    m, n = d.adjacency, d.n
+    products = _products_of(m, products)
     if m.trace() != 0:
         raise ValueError("digraph has loops; use the reflexive verifier")
     k, witness = _regularity(m)
     if witness:
         return _fail(witness)
-    s = exact_matmul(m, m)
+    s = products.square
     diag = np.diagonal(s)
     mutual = (m * m.T).sum(axis=1)
     if not np.array_equal(diag, mutual):
@@ -284,16 +291,16 @@ def feasibility(params: DezaParams) -> Feasibility:
     return Feasibility(af, bf, True)
 
 
-def verify_dsrg(d: Digraph) -> VerificationReport:
+def verify_dsrg(d: Digraph, *, products: Products | None = None) -> VerificationReport:
     """Fit M^2 = tI + lam*M + mu*(J - I - M) exactly."""
-    m = d.adjacency
-    n = d.n
+    m, n = d.adjacency, d.n
+    products = _products_of(m, products)
     if m.trace() != 0:
         raise ValueError("digraph has loops")
     k, witness = _regularity(m)
     if witness:
         return _fail(witness)
-    s = exact_matmul(m, m)
+    s = products.square
     t = int(s[0, 0])
     if not (np.diagonal(s) == t).all():
         return _fail(f"diag(M^2) not constant: {_value_multiset(s)}")
@@ -311,17 +318,16 @@ def verify_dsrg(d: Digraph) -> VerificationReport:
     return VerificationReport(classification=tag, params=DsrgParams(n, k, lam, mu, t))
 
 
-def verify_type2(d: Digraph) -> VerificationReport:
+def verify_type2(d: Digraph, *, products: Products | None = None) -> VerificationReport:
     """Fit type-II parameters: M M^t = M^t M = aX + bY + kI with X + Y + I = J."""
-    m = d.adjacency
-    n = d.n
+    m, n = d.adjacency, d.n
+    products = _products_of(m, products)
     if m.trace() != 0:
         raise ValueError("digraph has loops; use the reflexive verifier")
     k, witness = _regularity(m)
     if witness:
         return _fail(witness)
-    g = exact_matmul(m, m.T)
-    g2 = exact_matmul(m.T, m)
+    g, g2 = products.gram, products.cogram
     if not np.array_equal(g, g2):
         u, v = np.argwhere(g != g2)[0]
         return _fail(f"M M^t != M^t M first at ({int(u)}, {int(v)}): "
@@ -351,7 +357,7 @@ def _check_partition(n: int, partition) -> tuple[np.ndarray, int, int]:
     return label, len(classes), size
 
 
-def verify_ddd(d: Digraph, partition) -> VerificationReport:
+def verify_ddd(d: Digraph, partition, *, products: Products | None = None) -> VerificationReport:
     """Fit divisible-design-digraph parameters for the given vertex classes.
 
     For distinct x, y the common dominated count (M M^t) and the common
@@ -360,8 +366,8 @@ def verify_ddd(d: Digraph, partition) -> VerificationReport:
     so the combined dominates-or-dominated count is exactly twice the
     reported lambda.
     """
-    m = d.adjacency
-    n = d.n
+    m, n = d.adjacency, d.n
+    products = _products_of(m, products)
     label, n_classes, size = _check_partition(n, partition)
     if not ((m + m.T) <= 1).all():
         u, v = np.argwhere((m + m.T) > 1)[0]
@@ -369,13 +375,11 @@ def verify_ddd(d: Digraph, partition) -> VerificationReport:
     k, witness = _regularity(m)
     if witness:
         return _fail(witness)
-    gout = exact_matmul(m, m.T)
-    gin = exact_matmul(m.T, m)
     across_mask = label[:, None] != label[None, :]
     within_mask = ~across_mask
     np.fill_diagonal(within_mask, False)
     lam1 = lam2 = None
-    for g, name in ((gout, "dominated-by-both"), (gin, "dominates-both")):
+    for g, name in ((products.gram, "dominated-by-both"), (products.cogram, "dominates-both")):
         within = _distinct(g[within_mask]) or [0]
         across = _distinct(g[across_mask]) or [0]
         if len(within) > 1:
@@ -387,29 +391,29 @@ def verify_ddd(d: Digraph, partition) -> VerificationReport:
             return _fail(f"{name} count not constant across classes: values "
                          f"{across}, witness pair {tuple(int(p) for p in pair)}")
         w, x = within[0], across[0]
-        if lam1 is None:
-            lam1, lam2 = w, x
-        elif (lam1, lam2) != (w, x):
+        if lam1 is not None and (lam1, lam2) != (w, x):
             return _fail(f"{name} counts ({w}, {x}) disagree with "
                          f"dominated-by-both counts ({lam1}, {lam2})")
+        lam1, lam2 = w, x
     return VerificationReport(
         classification="ddd",
         params=DddParams(n, k, lam1, lam2, n_classes, size),
     )
 
 
-def discover_ddd_partition(d: Digraph) -> list[list[int]] | None:
+def discover_ddd_partition(d: Digraph, *,
+                           products: Products | None = None) -> list[list[int]] | None:
     """Try to recover a DDD partition from the common-neighbour counts.
 
     Groups pairs realizing the rarer of the two count values and keeps
     the grouping only if it is an equivalence with uniform class size
     that verifies.  Returns None when no partition is found.
     """
-    m = d.adjacency
-    n = d.n
+    m, n = d.adjacency, d.n
+    products = _products_of(m, products)
     if not ((m + m.T) <= 1).all():
         return None
-    g = exact_matmul(m, m.T)
+    g = products.gram
     vals = _offdiag_values(g)
     if len(vals) > 2:
         return None
@@ -422,14 +426,12 @@ def discover_ddd_partition(d: Digraph) -> list[list[int]] | None:
             continue
         if len({len(c) for c in classes}) != 1:
             continue
-        if verify_ddd(d, classes).ok:
+        if verify_ddd(d, classes, products=products).ok:
             return classes
     # singleton fallback: any asymmetric regular digraph with constant
     # cross counts is a degenerate DDD on singleton classes
     singles = [[i] for i in range(n)]
-    if verify_ddd(d, singles).ok:
-        return singles
-    return None
+    return singles if verify_ddd(d, singles, products=products).ok else None
 
 
 def _equivalence_classes(rel: np.ndarray) -> list[list[int]] | None:
@@ -452,11 +454,12 @@ def _equivalence_classes(rel: np.ndarray) -> list[list[int]] | None:
     return classes
 
 
-def verify_deza_graph(d: Digraph, reflexive: bool = False) -> VerificationReport:
+def verify_deza_graph(d: Digraph, reflexive: bool = False, *,
+                      products: Products | None = None) -> VerificationReport:
     """Fit undirected Deza parameters (n, k, b, a); reflexive inputs carry
     a loop at every vertex and count it in the degree."""
-    m = d.adjacency
-    n = d.n
+    m, n = d.adjacency, d.n
+    products = _products_of(m, products)
     if not np.array_equal(m, m.T):
         u, v = np.argwhere(m != m.T)[0]
         raise ValueError(f"adjacency not symmetric at ({int(u)}, {int(v)})")
@@ -468,7 +471,7 @@ def verify_deza_graph(d: Digraph, reflexive: bool = False) -> VerificationReport
     k, witness = _regularity(m)
     if witness:
         return _fail(witness)
-    s = exact_matmul(m, m)
+    s = products.square
     t_eff = int(s[0, 0])
     if not (np.diagonal(s) == t_eff).all():
         return _fail(f"diag(M^2) not constant: {_value_multiset(s)}")
@@ -521,7 +524,8 @@ def _summarize_statistic(name: str, s: np.ndarray, n: int, k: int,
     return StatisticSummary(name, diag_vals, tuple(vals), commute, two, params)
 
 
-def verify_reflexive_directed_deza(d: Digraph) -> ReflexiveReport:
+def verify_reflexive_directed_deza(d: Digraph, *,
+                                   products: Products | None = None) -> ReflexiveReport:
     """Evaluate a loops-everywhere digraph under both product statistics.
 
     The path-count statistic is M^2 (diagonal = mutual partners, loop
@@ -529,8 +533,8 @@ def verify_reflexive_directed_deza(d: Digraph) -> ReflexiveReport:
     M M^t = M^t M check.  Either statistic being two-valued with a
     constant diagonal classifies the input; the report records which.
     """
-    m = d.adjacency
-    n = d.n
+    m, n = d.adjacency, d.n
+    products = _products_of(m, products)
     if not (np.diagonal(m) == 1).all():
         raise ValueError("reflexive verification requires a loop at every vertex")
     k, witness = _regularity(m)
@@ -538,26 +542,23 @@ def verify_reflexive_directed_deza(d: Digraph) -> ReflexiveReport:
         empty = StatisticSummary("square", (), (), None, False, None)
         emptyg = StatisticSummary("gram", (), (), None, False, None)
         return ReflexiveReport(NOT_MEMBER, empty, emptyg, (), None, witness)
-    s = exact_matmul(m, m)
-    g = exact_matmul(m, m.T)
-    g2 = exact_matmul(m.T, m)
-    commute = bool(np.array_equal(g, g2))
-    square = _summarize_statistic("square", s, n, k, None)
-    gram = _summarize_statistic("gram", g, n, k, commute)
+    commute = bool(np.array_equal(products.gram, products.cogram))
+    square = _summarize_statistic("square", products.square, n, k, None)
+    gram = _summarize_statistic("gram", products.gram, n, k, commute)
     matched = tuple(st.name for st in (square, gram) if st.two_valued)
-    diag_s = np.diagonal(s)
-    mutual = int(diag_s[0]) if (diag_s == diag_s[0]).all() else None
+    diag = square.diagonal_values
+    mutual = diag[0] if len(diag) == 1 else None
     if matched:
         return ReflexiveReport("reflexive_directed_deza", square, gram, matched, mutual)
     return ReflexiveReport(NOT_MEMBER, square, gram, (), mutual,
                            "neither product statistic is two-valued with constant diagonal")
 
 
-def verify_symmetric_design(n_matrix: np.ndarray) -> DesignParams:
+def verify_symmetric_design(n_matrix: np.ndarray, *,
+                            products: Products | None = None) -> DesignParams:
     """Check N N^t = N^t N = (k - lam) I + lam J and constant line sums."""
-    m = np.asarray(n_matrix, dtype=np.int64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    m = as_int_matrix(n_matrix)
+    products = _products_of(m, products)
     if not ((m == 0) | (m == 1)).all():
         raise ValueError("incidence entries must be 0 or 1")
     n = m.shape[0]
@@ -565,15 +566,14 @@ def verify_symmetric_design(n_matrix: np.ndarray) -> DesignParams:
     if witness:
         raise ValueError(f"line sums not constant: {witness}")
     lam = None
-    for g, name in ((exact_matmul(m, m.T), "N N^t"), (exact_matmul(m.T, m), "N^t N")):
+    for g, name in ((products.gram, "N N^t"), (products.cogram, "N^t N")):
         if not (np.diagonal(g) == k).all():
             raise ValueError(f"Gram mismatch: diag({name}) != k")
         vals = _offdiag_values(g)
         if n > 1 and len(vals) != 1:
             raise ValueError(f"Gram mismatch: off-diagonal of {name} takes values {vals}")
         v = vals[0] if vals else 0
-        if lam is None:
-            lam = v
-        elif lam != v:
+        if lam is not None and lam != v:
             raise ValueError(f"Gram mismatch: {name} gives lambda {v}, expected {lam}")
+        lam = v
     return DesignParams(n, k, int(lam))

@@ -117,6 +117,11 @@ def test_search_is_deterministic_and_sorted():
 
 def test_search_limit():
     assert len(search_deza_digraphs(DezaParams(5, 1, 1, 0, 0), limit=2)) == 2
+    # a negative limit is an error, not a search that finds nothing
+    with pytest.raises(ValueError, match="limit -1 is negative"):
+        search_deza_digraphs(DezaParams(5, 1, 1, 0, 0), limit=-1)
+    with pytest.raises(ValueError, match="limit -1 is negative"):
+        search_dsrg(4, limit_per_params=-1)
 
 
 def test_search_order_bound():

@@ -374,6 +374,7 @@ def test_cli_usage_error(tmp_path, capsys):
         (("construct", "field-type2", "--q", 3, "--alpha", 99, "--out", out), "--alpha 99"),
         (("construct", "field-type2", "--q", 3, "--alpha", -1, "--out", out), "--alpha -1"),
         (("verify", empty), "line 1, column 1"),
+        (("search", "--params", "6,2,1,0,1", "--limit", -2), "limit -2 is negative"),
     ]
     for argv, message in rows:
         assert run_cli(*argv) == 2, argv

@@ -5,11 +5,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dezakit import construct, finite_field, hadamard
-from dezakit.matrix_core import (MAX_ORDER, _shift_period, Digraph, SignedMatrix,
-                                 SizeBoundError, as_int_matrix, block_assemble,
-                                 block_circulant, block_split, circulant,
-                                 exact_matmul, gram_products, identity,
-                                 kronecker, max_abs, ones, zeros)
+from dezakit.matrix_core import (MAX_ORDER, _shift_period, Digraph, Products,
+                                 SignedMatrix, SizeBoundError, as_int_matrix,
+                                 block_assemble, block_circulant, block_split,
+                                 circulant, exact_matmul, identity, kronecker,
+                                 max_abs, ones, zeros)
 
 from conftest import DEZA_8_3_3_1_0, naive_matmul
 
@@ -130,21 +130,26 @@ def test_block_assemble_rejects_mismatched():
         block_assemble([[identity(2), identity(3)], [identity(2), identity(2)]])
 
 
-def test_gram_products_identity():
-    s, r, l = gram_products(identity(4))
-    assert np.array_equal(s, identity(4))
-    assert np.array_equal(r, identity(4))
-    assert np.array_equal(l, identity(4))
+def test_products_identity():
+    p = Products(identity(4))
+    assert np.array_equal(p.square, identity(4))
+    assert np.array_equal(p.gram, identity(4))
+    assert np.array_equal(p.cogram, identity(4))
 
 
-def test_gram_products_all_ones():
-    s, r, l = gram_products(ones(3))
-    for g in (s, r, l):
+def test_products_all_ones():
+    p = Products(ones(3))
+    for g in (p.square, p.gram, p.cogram):
         assert np.array_equal(g, 3 * ones(3))
 
 
 def test_gram_square_of_reference_example():
-    s, _, _ = gram_products(DEZA_8_3_3_1_0)
+    m = DEZA_8_3_3_1_0
+    p = Products(m)
+    s = p.square
+    assert p.square is s and p.m is m  # computed once, of m itself
+    assert np.array_equal(p.gram, naive_matmul(m, m.T))
+    assert np.array_equal(p.cogram, naive_matmul(m.T, m))
     assert (np.diagonal(s) == 0).all()
     off = s[~np.eye(8, dtype=bool)]
     assert set(int(x) for x in off) == {1, 3}

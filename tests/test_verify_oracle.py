@@ -12,12 +12,14 @@ from collections import Counter
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import dezakit as dz
-from dezakit import verify
+from dezakit import cli, fileio, matrix_core, verify
 from dezakit.fileio import report_to_dict
+from dezakit.matrix_core import Products
 from dezakit.verify import (NOT_MEMBER, DddParams, DesignParams, DezaGraphParams,
                             DezaParams, DsrgParams, ReflexiveReport, StatisticSummary,
                             VerificationReport)
@@ -290,33 +292,45 @@ def check_against_oracle(m: np.ndarray, classes):
         assert got == want, (name, rows, classes)
 
 
+def check_shared_products(m: np.ndarray, classes):
+    """Each verifier reports the same with one Products object, filled by
+    the verifiers before it, as with none."""
+    d = dz.Digraph(m, loops_allowed=True)
+    shared = Products(d.adjacency)
+    for _ in range(2):  # the second pass finds every product filled
+        for name, (run, _oracle) in CASES.items():
+            alone = outcome(lambda: run(d, classes))
+            assert outcome(lambda: run(d, classes, products=shared)) == alone, name
+
+
+# regular and loop-free, but with M M^t != M^t M: the circulant on the
+# connection set {1, 4, 7} with the columns of vertices 0 and 2 swapped
+SWAPPED = dz.circulant([0, 1, 0, 0, 1, 0, 0, 1])[:, [2, 1, 0, 3, 4, 5, 6, 7]]
 KNOWN = (DEZA_8_3_3_1_0, DEZA_8_4_3_1_1, dz.paley_tournament(7).adjacency,
-         dz.paley_tournament(11).adjacency, dz.directed_cycle(6).adjacency)
+         dz.paley_tournament(11).adjacency, dz.directed_cycle(6).adjacency, SWAPPED)
 
 
 @st.composite
 def zero_one_matrices(draw):
     """A 0/1 matrix of order 1..12 with a partition of its vertices into
-    equal classes.  Unstructured matrices mostly stop at a degree witness,
-    so circulants (regular) and relabelled family members (which pass)
-    are drawn too; the diagonal is kept, cleared or filled."""
+    equal classes.  Unstructured matrices (symmetrized or not, diagonal
+    kept, cleared or filled) mostly stop at a degree witness, so regular
+    ones are drawn too: circulants and relabelled known digraphs."""
     kind = draw(st.sampled_from(["random", "circulant", "known"]))
     if kind == "known":
         m = KNOWN[draw(st.integers(0, len(KNOWN) - 1))]
         perm = draw(st.permutations(range(m.shape[0])))
         m = m[np.ix_(perm, perm)]
+    elif kind == "circulant":
+        m = dz.circulant(draw(st.lists(st.integers(0, 1), min_size=1, max_size=12)))
     else:
         n = draw(st.integers(1, 12))
-        if kind == "circulant":
-            m = dz.circulant(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
-        else:
-            bits = draw(st.lists(st.integers(0, 1), min_size=n * n, max_size=n * n))
-            m = np.array(bits, dtype=np.int64).reshape(n, n)
+        bits = draw(st.lists(st.integers(0, 1), min_size=n * n, max_size=n * n))
+        m = np.array(bits, dtype=np.int64).reshape(n, n)
         if draw(st.booleans()):
             m = m | m.T
         diagonal = draw(st.sampled_from(["keep", "clear", "fill"]))
         if diagonal != "keep":
-            m = m.copy()
             np.fill_diagonal(m, int(diagonal == "fill"))
     n = m.shape[0]
     size = draw(st.sampled_from([c for c in range(1, n + 1) if n % c == 0]))
@@ -329,13 +343,54 @@ def test_verifiers_match_brute_force_counts(case):
     check_against_oracle(*case)
 
 
+@given(zero_one_matrices())
+def test_shared_products_give_the_same_reports(case):
+    check_shared_products(*case)
+
+
 def test_block_circulant_input_matches_brute_force_counts():
     # the Paley tournament of order 67 blown up by 2 is invariant under the
     # cyclic shift by 2, so every product of it takes the block-row path
     d = dz.lex_product(dz.paley_tournament(67), dz.empty_digraph(2))
     from dezakit.matrix_core import _shift_period
     assert d.n == 134 and _shift_period(d.adjacency, d.adjacency.T) == 2
-    check_against_oracle(d.adjacency, [[2 * r, 2 * r + 1] for r in range(67)])
+    classes = [[2 * r, 2 * r + 1] for r in range(67)]
+    check_against_oracle(d.adjacency, classes)
+    check_shared_products(d.adjacency, classes)
     assert verify.verify_type2(d).params == DezaGraphParams(134, 66, 66, 32)
     assert verify.verify_ddd(d, verify.discover_ddd_partition(d)).params == \
         DddParams(134, 66, 66, 32, 67, 2)
+
+
+@pytest.fixture
+def matmul_calls(monkeypatch):
+    """The operand shapes of every exact_matmul call made from here on."""
+    calls = []
+    real = matrix_core.exact_matmul
+
+    def counting(a, b):
+        calls.append((a.shape, b.shape))
+        return real(a, b)
+
+    monkeypatch.setattr(matrix_core, "exact_matmul", counting)
+    return calls
+
+
+def test_verify_computes_each_product_once(tmp_path, capsys, matmul_calls):
+    path = str(tmp_path / "skew16.txt")
+    assert cli.main(["construct", "skew-hadamard", "--u", "2", "--out", path]) == 0
+    for extra in ([], ["--children-prefix", str(tmp_path / "kids")]):
+        matmul_calls.clear()
+        assert cli.main(["verify", path, *extra]) == 0
+        # M^2, M M^t and M^t M for all seven classifiers (they made 11)
+        assert len(matmul_calls) == 3, extra
+    matmul_calls.clear()
+    assert verify.discover_ddd_partition(fileio.read_digraph(path)) is not None
+    assert len(matmul_calls) <= 2
+
+
+def test_products_of_another_array_are_refused(deza_8_3):
+    copy = Products(deza_8_3.adjacency.copy())
+    for name, (run, _oracle) in CASES.items():
+        with pytest.raises(ValueError, match="different matrix"):
+            run(deza_8_3, [[v] for v in range(8)], products=copy)
