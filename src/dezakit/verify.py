@@ -375,11 +375,12 @@ def verify_ddd(d: Digraph, partition, *, products: Products | None = None) -> Ve
     k, witness = _regularity(m)
     if witness:
         return _fail(witness)
+    gout, gin = products.gram, products.cogram
     across_mask = label[:, None] != label[None, :]
     within_mask = ~across_mask
     np.fill_diagonal(within_mask, False)
     lam1 = lam2 = None
-    for g, name in ((products.gram, "dominated-by-both"), (products.cogram, "dominates-both")):
+    for g, name in ((gout, "dominated-by-both"), (gin, "dominates-both")):
         within = _distinct(g[within_mask]) or [0]
         across = _distinct(g[across_mask]) or [0]
         if len(within) > 1:
@@ -542,8 +543,8 @@ def verify_reflexive_directed_deza(d: Digraph, *,
         empty = StatisticSummary("square", (), (), None, False, None)
         emptyg = StatisticSummary("gram", (), (), None, False, None)
         return ReflexiveReport(NOT_MEMBER, empty, emptyg, (), None, witness)
-    commute = bool(np.array_equal(products.gram, products.cogram))
     square = _summarize_statistic("square", products.square, n, k, None)
+    commute = bool(np.array_equal(products.gram, products.cogram))
     gram = _summarize_statistic("gram", products.gram, n, k, commute)
     matched = tuple(st.name for st in (square, gram) if st.two_valued)
     diag = square.diagonal_values
