@@ -187,7 +187,7 @@ def block_split(m: np.ndarray, h: int) -> list[list[np.ndarray]]:
 class Products:
     """The products of one matrix m that the verifiers read: square = m m,
     gram = m m^t and cogram = m^t m, each computed by exact_matmul on
-    first use and then shared by every reader of this object."""
+    first use and then shared, so no reader may write to them."""
 
     def __init__(self, m: np.ndarray):
         self.m = m

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import dezakit as dz
 from dezakit import cli, fileio, matrix_core, verify
 from dezakit.fileio import report_to_dict
-from dezakit.matrix_core import Products
+from dezakit.matrix_core import Products, _shift_period
 from dezakit.verify import (NOT_MEMBER, DddParams, DesignParams, DezaGraphParams,
                             DezaParams, DsrgParams, ReflexiveReport, StatisticSummary,
                             VerificationReport)
@@ -352,7 +352,6 @@ def test_block_circulant_input_matches_brute_force_counts():
     # the Paley tournament of order 67 blown up by 2 is invariant under the
     # cyclic shift by 2, so every product of it takes the block-row path
     d = dz.lex_product(dz.paley_tournament(67), dz.empty_digraph(2))
-    from dezakit.matrix_core import _shift_period
     assert d.n == 134 and _shift_period(d.adjacency, d.adjacency.T) == 2
     classes = [[2 * r, 2 * r + 1] for r in range(67)]
     check_against_oracle(d.adjacency, classes)
@@ -391,6 +390,6 @@ def test_verify_computes_each_product_once(tmp_path, capsys, matmul_calls):
 
 def test_products_of_another_array_are_refused(deza_8_3):
     copy = Products(deza_8_3.adjacency.copy())
-    for name, (run, _oracle) in CASES.items():
+    for run, _oracle in CASES.values():
         with pytest.raises(ValueError, match="different matrix"):
             run(deza_8_3, [[v] for v in range(8)], products=copy)
