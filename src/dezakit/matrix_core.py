@@ -1,6 +1,10 @@
 """Exact dense integer matrix algebra.
 
-All matrices are square numpy arrays of dtype int64.  Every operation is
+Matrices are numpy arrays of dtype int64.  They are square, except for
+strips: the h x n first block row of a block-circulant matrix, which
+block_circulant expands.  Products keeps the products of a matrix that
+is invariant under a cyclic index shift as such strips.  0/1 masks, such
+as the position matrices of the verifiers, are bool.  Every operation is
 pure and exact: no modular reduction, no floating-point rounding.  Large
 multiplies are routed through BLAS only when a proven bound guarantees
 that every intermediate value is an exactly representable integer.
@@ -116,10 +120,11 @@ def _shift_period(a: np.ndarray, b: np.ndarray) -> int | None:
     n = a.shape[0]
     if not a.shape == b.shape == (n, n):
         return None
+    operands = (a,) if b is a else (a, b)
     for h in (d for d in range(1, n // 2 + 1) if n % d == 0):
         if all(np.array_equal(m[h], np.roll(m[0], h))
-               and np.array_equal(m[:, h], np.roll(m[:, 0], h)) for m in (a, b)):
-            if _is_shift_invariant(a, h) and _is_shift_invariant(b, h):
+               and np.array_equal(m[:, h], np.roll(m[:, 0], h)) for m in operands):
+            if all(_is_shift_invariant(m, h) for m in operands):
                 return h
     return None
 
@@ -130,14 +135,19 @@ def block_circulant(strip) -> np.ndarray:
     with g = n / h.  Equivalently m[i + h, j + h] = m[i, j], indices
     mod n.  Block row r is strip rolled right by r * h columns, which is
     the window of n columns starting at n - r * h in strip written twice
-    side by side."""
-    strip = np.asarray(strip, dtype=np.int64)
+    side by side.  A bool strip gives a bool matrix, any other an int64
+    one; when h = n the strip itself is returned."""
+    strip = np.asarray(strip)
+    if strip.dtype != bool:
+        strip = strip.astype(np.int64, copy=False)
     if strip.ndim != 2 or strip.size == 0:
         raise ValueError(f"strip must be a nonempty 2-D array, got shape {strip.shape}")
     h, n = strip.shape
     if n % h != 0:
         raise ValueError(f"strip height {h} does not divide its width {n}")
     check_order(n)
+    if h == n:
+        return strip
     windows = np.lib.stride_tricks.sliding_window_view(
         np.concatenate([strip, strip], axis=1), n, axis=1)
     starts = n - h * np.arange(n // h)
@@ -154,7 +164,7 @@ def kronecker(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def circulant(first_row) -> np.ndarray:
     """Circulant matrix: row i is first_row rotated right by i positions."""
-    row = np.asarray(first_row, dtype=np.int64)
+    row = np.array(first_row, dtype=np.int64)
     if row.ndim != 1 or row.size == 0:
         raise ValueError("first row must be a nonempty sequence")
     return block_circulant(row[None, :])
@@ -186,15 +196,29 @@ def block_split(m: np.ndarray, h: int) -> list[list[np.ndarray]]:
 
 class Products:
     """The products of one matrix m that the verifiers read: square = m m,
-    gram = m m^t and cogram = m^t m, each computed by exact_matmul on
-    first use and then shared, so no reader may write to them."""
+    gram = m m^t and cogram = m^t m, computed on first use and then
+    shared, so no reader may write to them.
+
+    m and m^t are invariant under the same cyclic index shifts, so each
+    product is block-circulant with the shift period h of m (n when m
+    has none or n < _BLAS_MIN_ORDER) and is kept as its first h rows,
+    the h x n strip that exact_matmul computes from the first h rows of
+    its left operand.  The dense products are those strips expanded."""
 
     def __init__(self, m: np.ndarray):
         self.m = m
 
-    square = cached_property(lambda self: exact_matmul(self.m, self.m))
-    gram = cached_property(lambda self: exact_matmul(self.m, self.m.T))
-    cogram = cached_property(lambda self: exact_matmul(self.m.T, self.m))
+    @cached_property
+    def period(self) -> int:
+        n = self.m.shape[0]
+        return (n >= _BLAS_MIN_ORDER and _shift_period(self.m, self.m)) or n
+
+    square_strip = cached_property(lambda self: exact_matmul(self.m[:self.period], self.m))
+    gram_strip = cached_property(lambda self: exact_matmul(self.m[:self.period], self.m.T))
+    cogram_strip = cached_property(lambda self: exact_matmul(self.m.T[:self.period], self.m))
+    square = cached_property(lambda self: block_circulant(self.square_strip))
+    gram = cached_property(lambda self: block_circulant(self.gram_strip))
+    cogram = cached_property(lambda self: block_circulant(self.cogram_strip))
 
 
 def _frozen(m: np.ndarray) -> np.ndarray:

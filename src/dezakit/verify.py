@@ -3,7 +3,13 @@ type-II directed Deza graphs, divisible design digraphs, (reflexive)
 Deza graphs, and symmetric designs, with exact parameter extraction.
 
 Every verifier is exact: parameters are read off integer matrices and
-all identities are checked entrywise.  Definitional failures are
+all identities are checked entrywise.  A product invariant under the
+cyclic index shift by h is read from its first h rows (a Products
+strip): its diagonal entries there are s[i, i] for i < h, and every
+other entry of the product occurs n/h times as often as in the strip.
+A shift-invariant mismatch first occurs in row-major order in a row
+below h, so the witnesses name the pairs the dense product would.
+Definitional failures are
 reported (classification "not_member" plus a witness); malformed calls
 raise ValueError.
 """
@@ -15,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .matrix_core import Digraph, Products, as_int_matrix, zeros
+from .matrix_core import Digraph, Products, as_int_matrix, block_circulant
 
 NOT_MEMBER = "not_member"
 
@@ -125,10 +131,13 @@ def _regularity(m: np.ndarray) -> tuple[int | None, str | None]:
 
 
 def _offdiag(s: np.ndarray) -> np.ndarray:
-    """The off-diagonal entries of the square matrix s, as an (n-1) x n
-    array: the flat entries after the first, in rows of n + 1 whose last
-    entry is the next diagonal one (a view when s is contiguous)."""
-    n = s.shape[0]
+    """The off-diagonal entries of the h x n strip s, all but s[i, i]
+    for i < h.  A square s gives an (n-1) x n array: the flat entries
+    after the first, in rows of n + 1 whose last entry is the next
+    diagonal one (a view when s is contiguous)."""
+    h, n = s.shape
+    if h < n:
+        return np.delete(s.reshape(-1), np.arange(h) * (n + 1))
     return s.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :-1]
 
 
@@ -150,8 +159,11 @@ def _offdiag_values(s: np.ndarray) -> list[int]:
 
 
 def _value_multiset(s: np.ndarray) -> str:
+    """The off-diagonal values of the product with strip s, each with the
+    number of times it occurs in the product."""
+    h, n = s.shape
     vals, counts = np.unique(_offdiag(s), return_counts=True)
-    return "{" + ", ".join(f"{int(v)}: {int(c)}" for v, c in zip(vals, counts)) + "}"
+    return "{" + ", ".join(f"{int(v)}: {int(c) * (n // h)}" for v, c in zip(vals, counts)) + "}"
 
 
 def _closed_form_counts(n: int, k: int, b: int, a: int, t: int):
@@ -184,26 +196,28 @@ def _two_values(s: np.ndarray) -> tuple[list[int], int, int]:
 
 def _fit_two_valued(s: np.ndarray, k: int, t: int, counts: str,
                     label) -> VerificationReport:
-    """Fit s = aX + bY + tI with X + Y + I = J and a <= b.
+    """Fit S = aX + bY + tI with X + Y + I = J and a <= b, S the product
+    with strip s.
 
-    counts names the statistic in the witness when s takes more than two
+    counts names the statistic in the witness when S takes more than two
     values off the diagonal.  Otherwise X holds the a-positions and Y the
-    b-positions (X = J - I, Y = O when a = b), the partners realizing
-    each value are counted at every vertex and compared with their
-    closed forms, and label(a, b) gives the classification and params.
+    b-positions as bool matrices (X = J - I, Y = O when a = b), the
+    partners realizing each value are counted at every vertex and
+    compared with their closed forms, and label(a, b) gives the
+    classification and params.
     """
-    n = s.shape[0]
+    n = s.shape[1]
     vals, a, b = _two_values(s)
     if len(vals) > 2:
         return _fail(f"{counts} take {len(vals)} values {_value_multiset(s)}")
     at_a, at_b = s == a, s == b
-    np.fill_diagonal(at_a, False)
-    np.fill_diagonal(at_b, False)
-    x = at_a.astype(np.int64)
-    y = at_b.astype(np.int64) if a != b else zeros(n)
+    # every (n + 1)-th flat entry: the diagonal entries s[i, i], i < h
+    at_a.reshape(-1)[::n + 1] = at_b.reshape(-1)[::n + 1] = False
+    x = block_circulant(at_a)
+    y = block_circulant(at_b) if a != b else np.zeros((n, n), dtype=bool)
     alpha_counts, beta_counts = at_a.sum(axis=1), at_b.sum(axis=1)
     alpha, beta = int(alpha_counts[0]), int(beta_counts[0])
-    # the row sums of s are constant, so each count is the same at every vertex
+    # the row sums of S are constant, so each count is the same at every vertex
     if (alpha_counts != alpha).any() or (beta_counts != beta).any():
         raise RuntimeError(f"partner counts of the values ({a}, {b}) differ between "
                            "vertices although the statistic has constant row sums")
@@ -229,15 +243,17 @@ def verify_deza_digraph(d: Digraph, *, products: Products | None = None) -> Veri
     """
     m, n = d.adjacency, d.n
     products = _products_of(m, products)
-    if m.trace() != 0:
+    # a Digraph made without loops_allowed was checked loop-free
+    if d.loops_allowed and m.trace() != 0:
         raise ValueError("digraph has loops; use the reflexive verifier")
     k, witness = _regularity(m)
     if witness:
         return _fail(witness)
-    s = products.square
+    s = products.square_strip
+    h = s.shape[0]
     diag = np.diagonal(s)
-    mutual = (m * m.T).sum(axis=1)
-    if not np.array_equal(diag, mutual):
+    mutual = (m[:h] * m.T[:h]).sum(axis=1)
+    if (diag != mutual).any():
         u = int(np.argmax(diag != mutual))
         return _fail(f"mutual-pair count of vertex {u} is {int(mutual[u])} "
                      f"but diag(M^2) is {int(diag[u])}")
@@ -295,18 +311,19 @@ def verify_dsrg(d: Digraph, *, products: Products | None = None) -> Verification
     """Fit M^2 = tI + lam*M + mu*(J - I - M) exactly."""
     m, n = d.adjacency, d.n
     products = _products_of(m, products)
-    if m.trace() != 0:
+    if d.loops_allowed and m.trace() != 0:
         raise ValueError("digraph has loops")
     k, witness = _regularity(m)
     if witness:
         return _fail(witness)
-    s = products.square
+    s = products.square_strip
     t = int(s[0, 0])
     if not (np.diagonal(s) == t).all():
         return _fail(f"diag(M^2) not constant: {_value_multiset(s)}")
-    off = ~np.eye(n, dtype=bool)
-    arc = (m == 1) & off
-    non = (m == 0) & off
+    rows = m[:s.shape[0]]  # M repeats with the period of its products
+    arc, non = rows == 1, rows == 0
+    np.fill_diagonal(arc, False)
+    np.fill_diagonal(non, False)
     lam_vals, mu_vals = _distinct(s[arc]), _distinct(s[non])
     if len(lam_vals) > 1:
         return _fail(f"path counts on arcs not constant: {lam_vals}")
@@ -322,12 +339,12 @@ def verify_type2(d: Digraph, *, products: Products | None = None) -> Verificatio
     """Fit type-II parameters: M M^t = M^t M = aX + bY + kI with X + Y + I = J."""
     m, n = d.adjacency, d.n
     products = _products_of(m, products)
-    if m.trace() != 0:
+    if d.loops_allowed and m.trace() != 0:
         raise ValueError("digraph has loops; use the reflexive verifier")
     k, witness = _regularity(m)
     if witness:
         return _fail(witness)
-    g, g2 = products.gram, products.cogram
+    g, g2 = products.gram_strip, products.cogram_strip
     if not np.array_equal(g, g2):
         u, v = np.argwhere(g != g2)[0]
         return _fail(f"M M^t != M^t M first at ({int(u)}, {int(v)}): "
@@ -472,7 +489,7 @@ def verify_deza_graph(d: Digraph, reflexive: bool = False, *,
     k, witness = _regularity(m)
     if witness:
         return _fail(witness)
-    s = products.square
+    s = products.square_strip
     t_eff = int(s[0, 0])
     if not (np.diagonal(s) == t_eff).all():
         return _fail(f"diag(M^2) not constant: {_value_multiset(s)}")
@@ -543,9 +560,9 @@ def verify_reflexive_directed_deza(d: Digraph, *,
         empty = StatisticSummary("square", (), (), None, False, None)
         emptyg = StatisticSummary("gram", (), (), None, False, None)
         return ReflexiveReport(NOT_MEMBER, empty, emptyg, (), None, witness)
-    square = _summarize_statistic("square", products.square, n, k, None)
-    commute = bool(np.array_equal(products.gram, products.cogram))
-    gram = _summarize_statistic("gram", products.gram, n, k, commute)
+    square = _summarize_statistic("square", products.square_strip, n, k, None)
+    commute = bool(np.array_equal(products.gram_strip, products.cogram_strip))
+    gram = _summarize_statistic("gram", products.gram_strip, n, k, commute)
     matched = tuple(st.name for st in (square, gram) if st.two_valued)
     diag = square.diagonal_values
     mutual = diag[0] if len(diag) == 1 else None
@@ -567,7 +584,7 @@ def verify_symmetric_design(n_matrix: np.ndarray, *,
     if witness:
         raise ValueError(f"line sums not constant: {witness}")
     lam = None
-    for g, name in ((products.gram, "N N^t"), (products.cogram, "N^t N")):
+    for g, name in ((products.gram_strip, "N N^t"), (products.cogram_strip, "N^t N")):
         if not (np.diagonal(g) == k).all():
             raise ValueError(f"Gram mismatch: diag({name}) != k")
         vals = _offdiag_values(g)

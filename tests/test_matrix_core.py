@@ -337,3 +337,41 @@ def test_detected_period_of_the_paper_families():
         for alpha in range(3):
             m = construct.field_type2(field, field.element(alpha)).adjacency
             assert _shift_period(m, m) == _shift_period(m.T, m) == field.q ** 2
+
+
+def products_cases():
+    """(m, the period Products should find): periodic inputs of order
+    >= 128, one without a period, and small ones, periodic or not."""
+    rng = np.random.default_rng(22)
+    yield shift_invariant(rng, 1, 128, 0, 2), 1
+    yield shift_invariant(rng, 4, 33, 0, 2), 4
+    yield shift_invariant(rng, 16, 8), 16
+    yield rng.integers(0, 2, (130, 130)), 130
+    yield circulant(rng.integers(0, 2, 12)), 12
+    yield DEZA_8_3_3_1_0, 8
+
+
+def test_products_keep_the_strip_of_their_period():
+    for m, period in products_cases():
+        n = m.shape[0]
+        p = Products(m)
+        assert p.period == period == ((n >= 128 and _shift_period(m, m.T)) or n)
+        for strip, dense, (a, b) in ((p.square_strip, p.square, (m, m)),
+                                     (p.gram_strip, p.gram, (m, m.T)),
+                                     (p.cogram_strip, p.cogram, (m.T, m))):
+            want = int64_oracle(a, b)
+            assert strip.shape == (period, n)
+            # the triple loop would take seconds on the order-130 strip
+            first_rows = naive_matmul(a[:period], b) if period < 128 else want
+            assert np.array_equal(strip, first_rows)
+            assert np.array_equal(block_circulant(strip), want)
+            assert np.array_equal(dense, want)
+
+
+def test_block_circulant_keeps_bool_strips():
+    strip = np.array([[True, False, False, True], [False, False, True, True]])
+    m = block_circulant(strip)
+    assert m.dtype == bool
+    assert np.array_equal(m, block_circulant(strip.astype(np.int64)))
+    # a full-height strip is already the matrix
+    assert block_circulant(m) is m

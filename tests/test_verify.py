@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import dezakit as dz
-from dezakit.matrix_core import Digraph, identity, ones, zeros
+from dezakit.matrix_core import Digraph, Products, identity, ones, zeros
 from dezakit.verify import (DezaParams, deza_children, feasibility, verify_ddd,
                             verify_deza_digraph, verify_deza_graph, verify_dsrg,
                             verify_reflexive_directed_deza,
@@ -339,3 +339,27 @@ def test_offdiag_values_match_a_masked_sort():
             for m in (s, s.T, s[::-1, ::-1]):
                 want = sorted({int(v) for v in m[~np.eye(n, dtype=bool)]})
                 assert _offdiag_values(m) == want
+
+
+def test_position_matrices_are_bool_and_rebuild_the_statistic(deza_8_3):
+    f5 = dz.make_field(5, 1)
+    cases = (
+        # periodic of order >= 128, read from strips of height 1 and q^2 = 25
+        (dz.paley_tournament(131), verify_deza_digraph, lambda m: m @ m),
+        (dz.field_type2(f5, f5.element(0)), verify_deza_graph, lambda m: m @ m),
+        (dz.field_type2(f5, f5.element(1)), verify_type2, lambda m: m @ m.T),
+        # small, and small with a = b, so that Y = O
+        (deza_8_3, verify_deza_digraph, lambda m: m @ m),
+        (Digraph(ones(5) - identity(5)), verify_deza_digraph, lambda m: m @ m),
+    )
+    for d, verifier, statistic in cases:
+        n = d.n
+        assert Products(d.adjacency).period == (1 if n == 131 else 25 if n == 325 else n)
+        rep = verifier(d)
+        p = rep.params
+        t = p.t if isinstance(p, DezaParams) else p.k
+        x, y = rep.x_positions, rep.y_positions
+        assert x.dtype == y.dtype == bool and x.shape == y.shape == (n, n)
+        assert np.array_equal(p.a * x + p.b * y + t * identity(n), statistic(d.adjacency))
+        assert np.array_equal(x + y + identity(n), ones(n))
+    assert not rep.y_positions.any()

@@ -9,17 +9,18 @@ from those counts with plain loops.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import permutations
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dezakit as dz
 from dezakit import cli, fileio, matrix_core, verify
 from dezakit.fileio import report_to_dict
-from dezakit.matrix_core import Products, _shift_period
+from dezakit.matrix_core import Products, _shift_period, block_circulant
 from dezakit.verify import (NOT_MEMBER, DddParams, DesignParams, DezaGraphParams,
                             DezaParams, DsrgParams, ReflexiveReport, StatisticSummary,
                             VerificationReport)
@@ -359,6 +360,65 @@ def test_block_circulant_input_matches_brute_force_counts():
     assert verify.verify_type2(d).params == DezaGraphParams(134, 66, 66, 32)
     assert verify.verify_ddd(d, verify.discover_ddd_partition(d)).params == \
         DddParams(134, 66, 66, 32, 67, 2)
+
+
+# strips of block-circulant matrices of order 128..160 whose M^2 or
+# M M^t is two-valued, so that the fit reaches the partner counts
+TWO_VALUED_STRIPS = tuple(d.adjacency[:h] for d, h in (
+    (dz.paley_tournament(131), 1),
+    (dz.paley_graph(137), 1),
+    (dz.lex_product(dz.paley_tournament(67), dz.empty_digraph(2)), 2),
+    (dz.lex_product(dz.paley_tournament(43), dz.empty_digraph(3)), 3),
+    (dz.lex_product(dz.paley_graph(37), dz.empty_digraph(4)), 4)))
+
+
+@st.composite
+def block_circulant_matrices(draw):
+    """A 0/1 matrix of order 128..160 that block_circulant expands from
+    a strip of height h <= 4, with a partition into equal classes.
+    Random strips give irregular matrices.  Strips of h x h permutation
+    or zero blocks, the first one zero, give loop-free regular matrices
+    whose products take many values, with M M^t != M^t M in general when
+    h > 1.  Known strips give two-valued products.  Loops may be added
+    at every vertex."""
+    kind = draw(st.sampled_from(["random", "permutations", "known"]))
+    if kind == "known":
+        strip = TWO_VALUED_STRIPS[draw(st.integers(0, len(TWO_VALUED_STRIPS) - 1))]
+    else:
+        h = draw(st.integers(1, 4))
+        n = h * draw(st.integers(-(-128 // h), 160 // h))
+        if kind == "random":
+            bits = draw(st.lists(st.integers(0, 1), min_size=h * n, max_size=h * n))
+            strip = np.array(bits, dtype=np.int64).reshape(h, n)
+        else:
+            perms = [np.zeros((h, h), dtype=np.int64)]
+            perms += [np.eye(h, dtype=np.int64)[list(p)] for p in permutations(range(h))]
+            strip = np.concatenate([perms[0]] + [perms[draw(st.integers(0, len(perms) - 1))]
+                                                 for _ in range(n // h - 1)], axis=1)
+    m = block_circulant(strip)
+    if kind == "random" and draw(st.booleans()):
+        m = m | m.T
+    diagonal = draw(st.sampled_from(["keep", "clear", "fill"] if kind == "random"
+                                    else ["keep", "fill"]))
+    if diagonal != "keep":
+        m = m.copy()
+        np.fill_diagonal(m, int(diagonal == "fill"))
+    n = m.shape[0]
+    size = draw(st.sampled_from([c for c in range(1, n + 1) if n % c == 0]))
+    perm = draw(st.permutations(range(n)))
+    return m, [sorted(perm[i:i + size]) for i in range(0, n, size)]
+
+
+@settings(max_examples=20)
+@given(block_circulant_matrices())
+# always one strip of height h > 1 whose M M^t is two-valued
+@example((block_circulant(TWO_VALUED_STRIPS[3]), [[v] for v in range(129)]))
+def test_block_circulant_verifiers_match_brute_force_counts(case):
+    # the verifiers read these products from strips of height h < n
+    m, classes = case
+    assert Products(m).period < m.shape[0]
+    check_against_oracle(m, classes)
+    check_shared_products(m, classes)
 
 
 @pytest.fixture
