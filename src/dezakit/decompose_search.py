@@ -145,6 +145,13 @@ def _row_candidates(n: int, k: int, forbidden_bit: int) -> list[int]:
     return masks
 
 
+def _check_search(n: int, limit: int | None):
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit {limit} is negative")
+    if n > SEARCH_MAX_ORDER:
+        raise SizeBoundError(f"search is limited to order {SEARCH_MAX_ORDER}")
+
+
 def _search(n: int, k: int, t: int, allowed_pair_values, limit: int | None):
     """Backtracking over loop-free k-regular 0/1 matrices of order n with
     constant mutual count t and two-path counts constrained per pair.
@@ -154,10 +161,7 @@ def _search(n: int, k: int, t: int, allowed_pair_values, limit: int | None):
     chosen in ascending lexicographic order, so solutions appear in
     ascending adjacency order deterministically.
     """
-    if limit is not None and limit < 0:
-        raise ValueError(f"limit {limit} is negative")
-    if n > SEARCH_MAX_ORDER:
-        raise SizeBoundError(f"search is limited to order {SEARCH_MAX_ORDER}")
+    _check_search(n, limit)
     if k > n - 1 or t > k:
         return
     solutions = 0
@@ -379,8 +383,7 @@ def search_dsrg(n_max: int, require_lambda_eq_mu: bool = False,
     lam*k + mu*(n-1-k) = k^2 - t; every emitted digraph passes
     verify_dsrg.  Deterministic order: by (n, k, t, lam), then by
     adjacency."""
-    if n_max > SEARCH_MAX_ORDER:
-        raise SizeBoundError(f"search is limited to order {SEARCH_MAX_ORDER}")
+    _check_search(n_max, limit_per_params)
     found = []
     for n in range(2, n_max + 1):
         for k in range(1, n - 1):

@@ -124,6 +124,13 @@ def test_search_limit():
         search_dsrg(4, limit_per_params=-1)
 
 
+def test_search_dsrg_negative_limit_at_every_order():
+    # order 2 has no parameter tuple to search, so only an eager check raises
+    for n_max in (2, 3):
+        with pytest.raises(ValueError, match="limit -1 is negative"):
+            search_dsrg(n_max, limit_per_params=-1)
+
+
 def test_search_order_bound():
     with pytest.raises(SizeBoundError):
         search_deza_digraphs(DezaParams(11, 2, 1, 0, 0))
