@@ -343,18 +343,18 @@ def test_offdiag_values_match_a_masked_sort():
 
 def test_position_matrices_are_bool_and_rebuild_the_statistic(deza_8_3):
     f5 = dz.make_field(5, 1)
-    cases = (
+    cases = (  # (digraph, verifier, its statistic, the period of the strips read)
         # periodic of order >= 128, read from strips of height 1 and q^2 = 25
-        (dz.paley_tournament(131), verify_deza_digraph, lambda m: m @ m),
-        (dz.field_type2(f5, f5.element(0)), verify_deza_graph, lambda m: m @ m),
-        (dz.field_type2(f5, f5.element(1)), verify_type2, lambda m: m @ m.T),
+        (dz.paley_tournament(131), verify_deza_digraph, lambda m: m @ m, 1),
+        (dz.field_type2(f5, f5.element(0)), verify_deza_graph, lambda m: m @ m, 25),
+        (dz.field_type2(f5, f5.element(1)), verify_type2, lambda m: m @ m.T, 25),
         # small, and small with a = b, so that Y = O
-        (deza_8_3, verify_deza_digraph, lambda m: m @ m),
-        (Digraph(ones(5) - identity(5)), verify_deza_digraph, lambda m: m @ m),
+        (deza_8_3, verify_deza_digraph, lambda m: m @ m, 8),
+        (Digraph(ones(5) - identity(5)), verify_deza_digraph, lambda m: m @ m, 5),
     )
-    for d, verifier, statistic in cases:
+    for d, verifier, statistic, period in cases:
         n = d.n
-        assert Products(d.adjacency).period == (1 if n == 131 else 25 if n == 325 else n)
+        assert Products(d.adjacency).period == period
         rep = verifier(d)
         p = rep.params
         t = p.t if isinstance(p, DezaParams) else p.k
