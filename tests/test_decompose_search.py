@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,58 @@ def test_search_is_deterministic_and_sorted():
     seq2 = [adjacency_tuple(d) for d in second]
     assert seq1 == seq2
     assert seq1 == sorted(seq1)
+
+
+def _regular_loop_free(n, k):
+    """Every loop-free 0/1 matrix of order n with all row and column sums
+    k, in ascending row-major order, and the squares of them all."""
+    rows = [np.array([v for v in itertools.product((0, 1), repeat=n)
+                      if sum(v) == k and not v[r]], dtype=np.int64).reshape(-1, n)
+            for r in range(n)]
+    picks = np.array(list(itertools.product(*(range(len(c)) for c in rows))),
+                     dtype=np.int64).reshape(-1, n)
+    m = np.stack([rows[r][picks[:, r]] for r in range(n)], axis=1).reshape(-1, n, n)
+    m = m[(m.sum(axis=1) == k).all(axis=1)]
+    return m, m @ m
+
+
+def test_search_matches_brute_force_below_order_six():
+    """The labelled hits of both searches are exactly the matrices an
+    exhaustive scan accepts, in the same ascending order."""
+    batches = {(n, k): _regular_loop_free(n, k) for n in range(2, 6) for k in range(n)}
+    for n in range(2, 6):
+        for k in range(n + 1):
+            for b in range(k + 1):
+                for a in range(b + 1):
+                    for t in range(k + 1):
+                        params = DezaParams(n, k, b, a, t)
+                        try:
+                            if not dz.feasibility(params).feasible:
+                                continue
+                        except (ValueError, ZeroDivisionError):
+                            continue
+                        m, s = batches.get((n, k), (np.zeros((0, n, n), np.int64),) * 2)
+                        off = s[:, ~np.eye(n, dtype=bool)]
+                        keep = (np.diagonal(s, axis1=1, axis2=2) == t).all(axis=1) \
+                            & np.isin(off, [a, b]).all(axis=1)
+                        hits = search_deza_digraphs(params)
+                        assert [d.adjacency.tolist() for d in hits] == m[keep].tolist(), \
+                            params.as_tuple()
+
+    expected = []
+    for n in range(2, 6):
+        for k in range(1, n - 1):
+            m, s = batches[(n, k)]
+            for mat, sq in zip(m, s):
+                t = int(sq[0, 0])
+                arc = mat == 1
+                non = ~arc & ~np.eye(n, dtype=bool)
+                lam, mu = set(sq[arc].tolist()), set(sq[non].tolist())
+                if t < k and (np.diagonal(sq) == t).all() and len(lam) == len(mu) == 1:
+                    expected.append(((n, k, lam.pop(), mu.pop(), t), mat.tolist()))
+    expected.sort(key=lambda e: (e[0][0], e[0][1], e[0][4], e[0][2], e[1]))
+    found = [(p.as_tuple(), d.adjacency.tolist()) for p, d in search_dsrg(5)]
+    assert found == expected
 
 
 def test_search_limit():
