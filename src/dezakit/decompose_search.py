@@ -13,7 +13,7 @@ from math import isqrt
 
 import numpy as np
 
-from .matrix_core import Digraph, SizeBoundError, identity, kronecker, ones
+from .matrix_core import Digraph, SizeBoundError, identity
 from .verify import (DezaParams, DsrgParams, _equivalence_classes, verify_deza_digraph,
                      verify_dsrg, verify_symmetric_design, verify_type2)
 
@@ -40,20 +40,15 @@ def _quotient_certificate(m: np.ndarray, classes: list[list[int]]) -> tuple[np.n
     n2 = len(classes[0])
     order = sorted(classes, key=min)
     perm = [v for c in order for v in c]
-    sorted_m = m[np.ix_(perm, perm)]
     g = len(order)
-    quotient = np.zeros((g, g), dtype=np.int64)
-    for i in range(g):
-        for j in range(g):
-            block = sorted_m[i * n2:(i + 1) * n2, j * n2:(j + 1) * n2]
-            v = int(block[0, 0])
-            if not (block == v).all():
-                raise ValueError(
-                    f"block ({i}, {j}) of the class-sorted adjacency is not constant; "
-                    "the relation classes do not induce a lexicographic structure")
-            quotient[i, j] = v
-    if not np.array_equal(sorted_m, kronecker(quotient, ones(n2))):
-        raise ValueError("class-sorted adjacency is not quotient x J")
+    blocks = m[np.ix_(perm, perm)].reshape(g, n2, g, n2)
+    quotient = blocks[:, 0, :, 0]
+    uneven = (blocks != quotient[:, None, :, None]).any(axis=(1, 3))
+    if uneven.any():
+        i, j = divmod(int(uneven.argmax()), g)  # the first in row-major order
+        raise ValueError(
+            f"block ({i}, {j}) of the class-sorted adjacency is not constant; "
+            "the relation classes do not induce a lexicographic structure")
     class_map = [0] * m.shape[0]
     for ci, c in enumerate(order):
         for v in c:
@@ -152,14 +147,14 @@ def _check_search(n: int, limit: int | None):
         raise SizeBoundError(f"search is limited to order {SEARCH_MAX_ORDER}")
 
 
-def _search(n: int, k: int, t: int, allowed_pair_values, limit: int | None):
+def _search(n: int, k: int, t: int, allowed, limit: int | None):
     """Backtracking over loop-free k-regular 0/1 matrices of order n with
-    constant mutual count t and two-path counts constrained per pair.
+    constant mutual count t and two-path counts constrained per arc class.
 
-    allowed_pair_values(u, v, arc) gives the admissible final values of
-    the (u, v) entry of M^2 given whether u -> v is an arc.  Rows are
-    chosen in ascending lexicographic order, so solutions appear in
-    ascending adjacency order deterministically.
+    allowed = (non_arc_values, arc_values) gives the admissible final
+    values of an off-diagonal (u, v) entry of M^2, indexed by whether
+    u -> v is an arc.  Rows are chosen in ascending lexicographic order,
+    so solutions appear in ascending adjacency order deterministically.
     """
     _check_search(n, limit)
     if k > n - 1 or t > k:
@@ -169,28 +164,11 @@ def _search(n: int, k: int, t: int, allowed_pair_values, limit: int | None):
     colmask = [0] * n  # bit w set iff row w (already placed) has a 1 in column v
     full = (1 << n) - 1
     candidates = [_row_candidates(n, k, r) for r in range(n)]
-
-    allowed_sets = [None, None]  # arc -> per-pair frozensets
-    bounds = [None, None]        # arc -> (lo table, hi table)
-    glo, ghi = None, None
-    for arc in (0, 1):
-        sets_t = [[frozenset()] * n for _ in range(n)]
-        lo_t = [[0] * n for _ in range(n)]
-        hi_t = [[0] * n for _ in range(n)]
-        for u in range(n):
-            for v in range(n):
-                if u == v:
-                    continue
-                vals = frozenset(allowed_pair_values(u, v, arc))
-                sets_t[u][v] = vals
-                lo_t[u][v] = min(vals)
-                hi_t[u][v] = max(vals)
-                glo = lo_t[u][v] if glo is None else min(glo, lo_t[u][v])
-                ghi = hi_t[u][v] if ghi is None else max(ghi, hi_t[u][v])
-        allowed_sets[arc] = sets_t
-        bounds[arc] = (lo_t, hi_t)
-    if glo is None:
-        glo = ghi = 0
+    # arc bit -> (lo, hi, values) of the final M^2 entry
+    spec = [(min(values), max(values), frozenset(values)) for values in allowed]
+    glo = min(lo for lo, _, _ in spec)
+    ghi = max(hi for _, hi, _ in spec)
+    off_diagonal = ~np.eye(n, dtype=bool)
 
     def feasible_after() -> bool:
         placed = len(rows)
@@ -219,23 +197,17 @@ def _search(n: int, k: int, t: int, allowed_pair_values, limit: int | None):
             row_hi = t - mut
             col_lo[u] += t
             col_hi[u] += t
-            lo0, hi0 = bounds[0][0][u], bounds[0][1][u]
-            lo1, hi1 = bounds[1][0][u], bounds[1][1][u]
-            sets0, sets1 = allowed_sets[0][u], allowed_sets[1][u]
             for v in range(n):
                 if v == u:
                     continue
                 partial = (ru & colmask[v]).bit_count()
-                if (ru >> v) & 1:
-                    lo_uv, hi_uv, sets_uv = lo1[v], hi1[v], sets1[v]
-                else:
-                    lo_uv, hi_uv, sets_uv = lo0[v], hi0[v], sets0[v]
+                lo_uv, hi_uv, values_uv = spec[(ru >> v) & 1]
                 # additions need a future row that is an out-neighbour of u
                 # and lands a 1 in column v
                 add_cap = pending if pending < colcap[v] else colcap[v]
                 if partial > hi_uv or partial + add_cap < lo_uv:
                     return False
-                if add_cap == 0 and partial not in sets_uv:
+                if add_cap == 0 and partial not in values_uv:
                     return False
                 flo = lo_uv - partial
                 if flo < 0:
@@ -263,19 +235,13 @@ def _search(n: int, k: int, t: int, allowed_pair_values, limit: int | None):
         return True
 
     def final_matrix() -> np.ndarray | None:
-        m = np.zeros((n, n), dtype=np.int64)
-        for u in range(n):
-            for v in range(n):
-                m[u, v] = (rows[u] >> v) & 1
+        m = (np.array(rows)[:, None] >> np.arange(n)) & 1
         s = m @ m
         if not (np.diagonal(s) == t).all():
             return None
-        for u in range(n):
-            for v in range(n):
-                if u == v:
-                    continue
-                if int(s[u, v]) not in allowed_sets[int(m[u, v])][u][v]:
-                    return None
+        for arc, values in enumerate(allowed):
+            if not np.isin(s[off_diagonal & (m == arc)], list(values)).all():
+                return None
         return m
 
     def backtrack():
@@ -326,13 +292,8 @@ def search_deza_digraphs(params: DezaParams, limit: int | None = None) -> list[D
     """All loop-free digraphs with the given directed Deza parameters, in
     ascending adjacency order (up to limit).  Every hit re-verifies."""
     n, k, b, a, t = params.as_tuple()
-    allowed = {a, b}
-
-    def pair_values(u, v, arc):
-        return allowed
-
     out = []
-    for m in _search(n, k, t, pair_values, limit):
+    for m in _search(n, k, t, ({a, b}, {a, b}), limit):
         d = Digraph(m)
         report = verify_deza_digraph(d)
         if not report.ok or report.params.as_tuple() not in {
@@ -387,12 +348,10 @@ def search_dsrg(n_max: int, require_lambda_eq_mu: bool = False,
     found = []
     for n in range(2, n_max + 1):
         for k in range(1, n - 1):
+            den = n - 1 - k
             for t in range(0, k):
                 for lam in range(0, k + 1):
                     rest = k * k - t - lam * k
-                    den = n - 1 - k
-                    if den == 0:
-                        continue
                     if rest % den != 0:
                         continue
                     mu = rest // den
@@ -402,11 +361,7 @@ def search_dsrg(n_max: int, require_lambda_eq_mu: bool = False,
                         continue
                     if not dsrg_spectral_feasible(n, k, lam, mu, t):
                         continue
-
-                    def pair_values(u, v, arc, lam=lam, mu=mu):
-                        return {lam} if arc else {mu}
-
-                    for m in _search(n, k, t, pair_values, limit_per_params):
+                    for m in _search(n, k, t, ({mu}, {lam}), limit_per_params):
                         d = Digraph(m)
                         report = verify_dsrg(d)
                         params = report.params

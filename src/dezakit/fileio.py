@@ -29,25 +29,27 @@ class MatrixParseError(ValueError):
 
 
 def _matrix_text(m: np.ndarray) -> bytes:
+    """The file text of m; raises for a matrix read_matrix would reject."""
     m = as_int_matrix(m)
     n = m.shape[0]
-    # an empty matrix takes the general route below
-    lo, hi = (int(m.min()), int(m.max())) if m.size else (0, 2)
+    if n == 0:
+        raise ValueError("order must be positive")
+    lo, hi = int(m.min()), int(m.max())
+    if lo < -1 or hi > 1:
+        raise ValueError(f"entry {lo if lo < -1 else hi} outside alphabet signed")
     text = b"%d %s\n" % (n, b"signed" if lo < 0 else b"binary")
-    if lo == 0 and hi <= 1:  # digits at even offsets, separators at odd ones
+    if lo >= 0:  # digits at even offsets, separators at odd ones
         rows = np.full((n, 2 * n), 32, dtype=np.uint8)
         rows[:, 0::2] = m + 48
         rows[:, -1] = 10
         return text + rows.tobytes()
-    if lo == -1 and hi <= 1:  # sign byte, digit, separator; a 0 sign byte is dropped
-        cells = np.full((n, n, 3), 32, dtype=np.uint8)
-        cells[..., 0] = 45 * (m < 0)
-        cells[..., 1] = 48 + np.abs(m)
-        cells[:, -1, 2] = 10
-        cells = cells.reshape(-1)
-        return text + cells[cells != 0].tobytes()
-    return text + "".join(" ".join(str(int(x)) for x in row) + "\n"
-                          for row in m).encode("ascii")
+    # sign byte, digit, separator; a 0 sign byte is dropped
+    cells = np.full((n, n, 3), 32, dtype=np.uint8)
+    cells[..., 0] = 45 * (m < 0)
+    cells[..., 1] = 48 + np.abs(m)
+    cells[:, -1, 2] = 10
+    cells = cells.reshape(-1)
+    return text + cells[cells != 0].tobytes()
 
 
 def write_matrix(m: np.ndarray, path) -> None:

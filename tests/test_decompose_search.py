@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import dezakit as dz
-from dezakit.decompose_search import (_search, canonical_form,
+from dezakit.decompose_search import (_quotient_certificate, _search, canonical_form,
                                       decompose_b_eq_t, decompose_type2_b_eq_k,
                                       dsrg_spectral_feasible,
                                       search_deza_digraphs, search_dsrg)
@@ -82,6 +82,21 @@ def test_b_eq_k_round_trip(q, n2):
     perm = dec.sorted_permutation()
     relabeled = composite.adjacency[np.ix_(perm, perm)]
     assert np.array_equal(relabeled, kronecker(dec.quotient.adjacency, ones(n2)))
+
+
+def test_quotient_certificate_names_first_uneven_block():
+    # class-sorted, blocks (1, 0) and (1, 1) are both not constant
+    sorted_m = np.array([[0, 0, 1, 1],
+                         [0, 0, 1, 1],
+                         [1, 0, 0, 1],
+                         [0, 1, 0, 0]])
+    perm = [0, 2, 1, 3]
+    m = np.zeros((4, 4), dtype=np.int64)
+    m[np.ix_(perm, perm)] = sorted_m
+    with pytest.raises(ValueError) as err:
+        _quotient_certificate(m, [[1, 3], [0, 2]])
+    assert str(err.value) == ("block (1, 0) of the class-sorted adjacency is not constant; "
+                              "the relation classes do not induce a lexicographic structure")
 
 
 def test_b_eq_k_rejects_wrong_parameters():
@@ -223,10 +238,7 @@ def test_spectral_filter_never_rejects_realizable():
                         continue
                     if dsrg_spectral_feasible(n, k, lam, mu, t):
                         continue
-                    found = list(_search(
-                        n, k, t,
-                        lambda u, v, arc, lam=lam, mu=mu: {lam} if arc else {mu},
-                        1))
+                    found = list(_search(n, k, t, ({mu}, {lam}), 1))
                     assert not found, (n, k, lam, mu, t)
 
 

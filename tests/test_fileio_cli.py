@@ -137,6 +137,18 @@ def test_signed_round_trip(tmp_path):
     assert np.array_equal(read_matrix(path), pair.signed.matrix)
 
 
+@pytest.mark.parametrize("m,message", [
+    (np.array([[2]]), "entry 2 outside alphabet signed"),
+    (np.array([[0, -2], [1, 0]]), "entry -2 outside alphabet signed"),
+    (np.zeros((0, 0), dtype=np.int64), "order must be positive"),
+])
+def test_write_matrix_refuses_what_read_matrix_rejects(tmp_path, m, message):
+    path = tmp_path / "m.txt"
+    with pytest.raises(ValueError, match=message):
+        write_matrix(m, path)
+    assert not path.exists()
+
+
 def test_read_matrix_errors(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("2 binary\n0 1\n0\n")

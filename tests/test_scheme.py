@@ -152,9 +152,7 @@ def enumerate_two_class_schemes(n_max):
     """
     reps = {}
     for n, k, lam, mu in _srg_parameter_candidates(n_max):
-        for m in _search(n, k, k,
-                         lambda u, v, arc, lam=lam, mu=mu: {lam} if arc else {mu},
-                         1):
+        for m in _search(n, k, k, ({mu}, {lam}), 1):
             key = ("srg", n, k, lam, mu)
             if key not in reps:
                 rest = ones(n) - identity(n) - m
@@ -162,9 +160,7 @@ def enumerate_two_class_schemes(n_max):
                 reps[key] = verify_scheme(mats)
     for n in (3, 7):
         t = (n - 3) // 4
-        for m in _search(n, (n - 1) // 2, 0,
-                         lambda u, v, arc, t=t: {t} if arc else {t + 1},
-                         1):
+        for m in _search(n, (n - 1) // 2, 0, ({t + 1}, {t}), 1):
             key = ("drt", n)
             if key not in reps:
                 reps[key] = verify_scheme([identity(n), m, m.T])
