@@ -12,12 +12,11 @@ from .construct import (IdentityReport, TwinPair, check_construction_identities,
 from .decompose_search import (Decomposition, canonical_form, decompose_b_eq_t,
                                decompose_type2_b_eq_k, search_deza_digraphs,
                                search_dsrg)
-from .finite_field import (FiniteField, field_arith, is_generalized_hadamard,
-                           make_field, multiplication_table, rep)
+from .finite_field import FiniteField, make_field, rep
 from .hadamard import (HadamardMatrix, is_skew_type, normalize, paley_skew,
                        sylvester)
 from .matrix_core import (Digraph, Products, SignedMatrix, SizeBoundError,
-                          block_assemble, block_circulant, block_split, circulant,
+                          block_assemble, block_circulant, circulant,
                           exact_matmul, kronecker)
 from .scheme import (AssociationScheme, FusionReport, SchemeError,
                      fusion_digraph, paley_tournament, tournament_scheme,

@@ -153,7 +153,7 @@ def _run_classifier(name: str, d: Digraph, products: Products, partition,
             return out
         else:
             raise ValueError(f"unknown classifier {name}")
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         return {"classifier": name, "ok": False, "witness": str(exc)}
     # children matrices are bulky and never written to the report
     if isinstance(rep, verify.VerificationReport):
@@ -268,7 +268,7 @@ def _cmd_feasibility(args) -> int:
     params = _parse_params(args.params)
     try:
         result = verify.feasibility(params)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
     print(f"alpha = {result.alpha}")
@@ -345,7 +345,7 @@ def main(argv=None) -> int:
     except SizeBoundError as exc:
         print(f"size bound exceeded: {exc}", file=sys.stderr)
         return EXIT_SIZE
-    except (ValueError, ZeroDivisionError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

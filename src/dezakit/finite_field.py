@@ -1,7 +1,6 @@
 """GF(p^m) arithmetic for odd p, plus the field-matrix gadgets the
-constructions need: the quadratic-character matrix, the multiplication
-table (a generalized Hadamard matrix) and the additive-group
-permutation representation.
+constructions need: the quadratic-character matrix and the
+additive-group permutation representation.
 
 Elements are coefficient tuples (c0, ..., c_{m-1}), c_i the coefficient
 of x^i, each in [0, p).  The element enumeration lists coefficient
@@ -148,12 +147,6 @@ class FiniteField:
         red = _poly_mod(prod, list(self.modulus), self.p)
         return tuple(red + [0] * (self.m - len(red)))
 
-    def pow(self, a: Element, e: int) -> Element:
-        out = self.one
-        for _ in range(e):
-            out = self.mul(out, a)
-        return out
-
     def nonzero_squares(self) -> set[Element]:
         return {self.mul(a, a) for a in self.elements if a != self.zero}
 
@@ -200,50 +193,6 @@ def quadratic_character_matrix(field: FiniteField) -> np.ndarray:
     weights = field.p ** np.arange(field.m - 1, -1, -1, dtype=np.int64)
     diff = (coords[None, :, :] - coords[:, None, :]) % field.p
     return chi[diff @ weights]
-
-
-def field_arith(field: FiniteField, op: str, a: Element, b: Element | None = None) -> Element:
-    """Dispatch one field operation by name: add, mul, or neg."""
-    field.check_member(a)
-    if op == "neg":
-        return field.neg(a)
-    if b is None:
-        raise ValueError(f"operation {op!r} needs two operands")
-    field.check_member(b)
-    if op == "add":
-        return field.add(a, b)
-    if op == "mul":
-        return field.mul(a, b)
-    raise ValueError(f"unknown operation {op!r}")
-
-
-def multiplication_table(field: FiniteField) -> list[list[Element]]:
-    """The q x q table with (i, j) entry elements[i] * elements[j]."""
-    return [[field.mul(a, b) for b in field.elements] for a in field.elements]
-
-
-def is_generalized_hadamard(field: FiniteField, table, g: int, lam: int) -> bool:
-    """Check the GH(g, lambda) property over the field's additive group.
-
-    For every pair of distinct rows, the entrywise differences must hit
-    each of the g group elements exactly lambda times.
-    """
-    size = len(table)
-    if size != g * lam or any(len(row) != size for row in table):
-        raise ValueError(f"matrix order {size} does not equal g*lambda = {g * lam}")
-    if g != field.q:
-        raise ValueError("group order must match the field order")
-    for i in range(size):
-        for k in range(size):
-            if i == k:
-                continue
-            counts: dict[Element, int] = {}
-            for j in range(size):
-                d = field.sub(table[i][j], table[k][j])
-                counts[d] = counts.get(d, 0) + 1
-            if len(counts) != g or any(c != lam for c in counts.values()):
-                return False
-    return True
 
 
 def rep(field: FiniteField, a: Element) -> np.ndarray:

@@ -8,9 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# factor_prime_power is imported for callers that take it from here
-from .finite_field import (factor_prime_power, odd_prime_power_field,  # noqa: F401
-                           quadratic_character_matrix)
+from .finite_field import odd_prime_power_field, quadratic_character_matrix
 from .matrix_core import (SizeBoundError, as_int_matrix, exact_matmul,
                           identity, kronecker)
 

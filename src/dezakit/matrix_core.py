@@ -2,12 +2,13 @@
 
 Matrices are numpy arrays of dtype int64.  They are square, except for
 strips: the h x n first block row of a block-circulant matrix, which
-block_circulant expands.  Products keeps the products of a matrix that
-is invariant under a cyclic index shift as such strips.  0/1 masks, such
-as the position matrices of the verifiers, are bool.  Every operation is
-pure and exact: no modular reduction, no floating-point rounding.  Large
-multiplies are routed through BLAS only when a proven bound guarantees
-that every intermediate value is an exactly representable integer.
+block_circulant expands.  Products finds the cyclic shift period of a
+matrix, once, and keeps its products as such strips; exact_matmul is
+the plain dense product.  0/1 masks, such as the position matrices of
+the verifiers, are bool.  Every operation is pure and exact: no modular
+reduction, no floating-point rounding.  Large multiplies are routed
+through BLAS only when a proven bound guarantees that every
+intermediate value is an exactly representable integer.
 """
 
 from __future__ import annotations
@@ -71,15 +72,11 @@ def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact integer matrix product with an overflow guard.
 
     The accumulated magnitude is bounded by inner_dim * max|a| * max|b|.
-    When that bound fits float64's exact-integer range, the product is
-    computed with BLAS (every partial sum is an exact integer, so the
-    result is bit-identical to integer arithmetic); otherwise the int64
-    kernel is used.  Bounds beyond int64 raise SizeBoundError.
-
-    Square operands of order at least _BLAS_MIN_ORDER that are both
-    invariant under the cyclic index shift by h (see _shift_period) have
-    a product invariant under it too, so only its first h rows are
-    multiplied and block_circulant expands them.
+    When the inner dimension is at least _BLAS_MIN_ORDER and that bound
+    fits float64's exact-integer range, the product is computed with BLAS
+    (every partial sum is an exact integer, so the result is bit-identical
+    to integer arithmetic); otherwise the int64 kernel is used.  Bounds
+    beyond int64 raise SizeBoundError.
     """
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"dimension mismatch {a.shape} x {b.shape}")
@@ -89,44 +86,30 @@ def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise SizeBoundError(
             f"matrix product may exceed the 64-bit entry range (bound {bound})"
         )
-    h = _shift_period(a, b) if inner >= _BLAS_MIN_ORDER else None
-    if h is not None:
-        return block_circulant(_dense_matmul(a[:h], b, bound))
-    return _dense_matmul(a, b, bound)
-
-
-def _dense_matmul(a: np.ndarray, b: np.ndarray, bound: int) -> np.ndarray:
-    if a.shape[1] >= _BLAS_MIN_ORDER and bound < _FLOAT_EXACT_BOUND:
+    if inner >= _BLAS_MIN_ORDER and bound < _FLOAT_EXACT_BOUND:
         c = a.astype(np.float64) @ b.astype(np.float64)
         return np.rint(c).astype(np.int64)
     return a @ b
 
 
-def _is_shift_invariant(m: np.ndarray, h: int) -> bool:
-    """m[i + h, j + h] == m[i, j] for all i, j, indices mod n: rows h..n-1
-    equal rows 0..n-h-1 rolled right by h columns.  The wrapped rows
-    0..h-1 then hold too, since rolling by g * h = n is the identity."""
-    return (np.array_equal(m[h:, h:], m[:-h, :-h])
-            and np.array_equal(m[h:, :h], m[:-h, -h:]))
+def _shift_period(m: np.ndarray) -> int:
+    """The smallest divisor h of the order n of the square matrix m such
+    that m is invariant under the cyclic index shift by h, m[i + h, j + h]
+    == m[i, j] with indices mod n; n when no proper divisor is.
 
-
-def _shift_period(a: np.ndarray, b: np.ndarray) -> int | None:
-    """The smallest proper divisor h of n such that the n x n matrices a
-    and b are both invariant under the cyclic index shift by h, or None.
-
-    A candidate must first pass an O(n) screen of the first row and
-    column; it is then confirmed by an exact O(n^2) comparison.
+    A candidate must first pass an O(n) screen of row h and column h; it
+    is then confirmed by an exact O(n^2) comparison: rows h..n-1 equal
+    rows 0..n-h-1 rolled right by h columns.  The wrapped rows 0..h-1
+    then hold too, since rolling by (n / h) * h = n is the identity.
     """
-    n = a.shape[0]
-    if not a.shape == b.shape == (n, n):
-        return None
-    operands = (a,) if b is a else (a, b)
+    n = m.shape[0]
     for h in (d for d in range(1, n // 2 + 1) if n % d == 0):
-        if all(np.array_equal(m[h], np.roll(m[0], h))
-               and np.array_equal(m[:, h], np.roll(m[:, 0], h)) for m in operands):
-            if all(_is_shift_invariant(m, h) for m in operands):
-                return h
-    return None
+        if (np.array_equal(m[h], np.roll(m[0], h))
+                and np.array_equal(m[:, h], np.roll(m[:, 0], h))
+                and np.array_equal(m[h:, h:], m[:-h, :-h])
+                and np.array_equal(m[h:, :h], m[:-h, -h:])):
+            return h
+    return n
 
 
 def block_circulant(strip) -> np.ndarray:
@@ -184,16 +167,6 @@ def block_assemble(grid) -> np.ndarray:
     return np.asarray(grid, dtype=np.int64).transpose(0, 2, 1, 3).reshape(g * h, g * h)
 
 
-def block_split(m: np.ndarray, h: int) -> list[list[np.ndarray]]:
-    """Inverse of block_assemble: cut m into blocks of order h."""
-    n = m.shape[0]
-    if n % h != 0:
-        raise ValueError(f"order {n} is not a multiple of block order {h}")
-    g = n // h
-    return [[m[i * h:(i + 1) * h, j * h:(j + 1) * h].copy() for j in range(g)]
-            for i in range(g)]
-
-
 class Products:
     """The products of one matrix m that the verifiers read: square = m m,
     gram = m m^t and cogram = m^t m, computed on first use and then
@@ -201,9 +174,10 @@ class Products:
 
     m and m^t are invariant under the same cyclic index shifts, so each
     product is block-circulant with the shift period h of m (n when m
-    has none or n < _BLAS_MIN_ORDER) and is kept as its first h rows,
-    the h x n strip that exact_matmul computes from the first h rows of
-    its left operand.  The dense products are those strips expanded."""
+    has none or n < _BLAS_MIN_ORDER).  period finds h once per matrix,
+    and no other code looks for it.  Each product is kept as its first
+    h rows, the h x n strip that exact_matmul computes from the first h
+    rows of its left operand; gram and cogram are their strips expanded."""
 
     def __init__(self, m: np.ndarray):
         self.m = m
@@ -211,12 +185,11 @@ class Products:
     @cached_property
     def period(self) -> int:
         n = self.m.shape[0]
-        return (n >= _BLAS_MIN_ORDER and _shift_period(self.m, self.m)) or n
+        return _shift_period(self.m) if n >= _BLAS_MIN_ORDER else n
 
     square_strip = cached_property(lambda self: exact_matmul(self.m[:self.period], self.m))
     gram_strip = cached_property(lambda self: exact_matmul(self.m[:self.period], self.m.T))
     cogram_strip = cached_property(lambda self: exact_matmul(self.m.T[:self.period], self.m))
-    square = cached_property(lambda self: block_circulant(self.square_strip))
     gram = cached_property(lambda self: block_circulant(self.gram_strip))
     cogram = cached_property(lambda self: block_circulant(self.cogram_strip))
 

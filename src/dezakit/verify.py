@@ -175,7 +175,7 @@ def _closed_form_counts(n: int, k: int, b: int, a: int, t: int):
         af = bf = Fraction(k * k - t, a)
     else:
         if k * k != t:
-            raise ZeroDivisionError(
+            raise ValueError(
                 f"a = b = 0 with k^2 = {k * k} != t = {t}: counts undefined"
             )
         af = bf = Fraction(n - 1)
@@ -365,7 +365,7 @@ def _check_partition(n: int, partition) -> tuple[np.ndarray, int, int]:
         if len(c) != size:
             raise ValueError(f"classes have unequal sizes {len(c)} != {size}")
         seen.update(c)
-    if seen != set(range(n)):
+    if seen != set(range(n)) or len(classes) * size != n:
         raise ValueError("partition does not cover the vertex set exactly once")
     label = np.empty(n, dtype=np.int64)
     for ci, c in enumerate(classes):

@@ -313,7 +313,7 @@ def test_criterion_09_search_oracle_cross_checks():
                         params = DezaParams(n, k, b, a, t)
                         try:
                             f = feasibility(params)
-                        except ZeroDivisionError:
+                        except ValueError:
                             continue
                         if f.alpha.denominator == 1 and f.beta.denominator == 1:
                             continue

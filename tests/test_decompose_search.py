@@ -158,7 +158,7 @@ def test_search_matches_brute_force_below_order_six():
                         try:
                             if not dz.feasibility(params).feasible:
                                 continue
-                        except (ValueError, ZeroDivisionError):
+                        except ValueError:
                             continue
                         m, s = batches.get((n, k), (np.zeros((0, n, n), np.int64),) * 2)
                         off = s[:, ~np.eye(n, dtype=bool)]

@@ -288,6 +288,17 @@ def test_cli_verify_ddd_with_partition(tmp_path, deza_8_3):
     assert doc["results"][0]["params"]["lambda2"] == 1
 
 
+def test_cli_verify_ddd_rejects_overlapping_classes(tmp_path, capsys):
+    mfile, pfile = tmp_path / "s.txt", tmp_path / "p.txt"
+    assert run_cli("construct", "skew-hadamard", "--u", 1, "--out", mfile) == 0
+    # five classes of two on eight vertices: 0 and 1 lie in two classes
+    pfile.write_text("0 1\n0 1\n2 3\n4 5\n6 7\n")
+    capsys.readouterr()
+    assert run_cli("verify", mfile, "--as", "ddd", "--partition", pfile) == 1
+    assert capsys.readouterr().out == (
+        "ddd: failed witness=partition does not cover the vertex set exactly once\n")
+
+
 def test_cli_children(tmp_path, deza_8_3):
     mfile = tmp_path / "m.txt"
     write_matrix(deza_8_3.adjacency, mfile)
@@ -352,6 +363,13 @@ def test_cli_search_and_feasibility(capsys):
     assert len(captured.out.strip().splitlines()) == 2
     assert run_cli("feasibility", "--params", "8,3,3,1,0") == 0
     assert run_cli("feasibility", "--params", "8,3,3,1,1") == 1
+
+
+def test_cli_feasibility_with_undefined_counts(capsys):
+    assert run_cli("feasibility", "--params", "2,1,0,0,0") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "infeasible: a = b = 0 with k^2 = 1 != t = 0: counts undefined\n"
 
 
 def test_cli_search_canonical_dedup(capsys):

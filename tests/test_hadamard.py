@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from dezakit.hadamard import (HadamardMatrix, factor_prime_power, is_normalized,
-                              is_skew_type, normalize, paley_skew, sylvester)
+from dezakit.finite_field import factor_prime_power
+from dezakit.hadamard import (HadamardMatrix, is_normalized, is_skew_type, normalize,
+                              paley_skew, sylvester)
 from dezakit.matrix_core import SizeBoundError, identity
 
 from conftest import SKEW_HADAMARD_4, naive_matmul

@@ -7,8 +7,7 @@ from hypothesis.extra.numpy import arrays
 from dezakit import construct, finite_field, hadamard
 from dezakit.matrix_core import (MAX_ORDER, _shift_period, Digraph, Products,
                                  SignedMatrix, SizeBoundError, as_int_matrix,
-                                 block_assemble, block_circulant, block_split,
-                                 circulant, exact_matmul, identity, kronecker,
+                                 block_assemble, block_circulant, circulant, exact_matmul, identity, kronecker,
                                  max_abs, ones, zeros)
 
 from conftest import DEZA_8_3_3_1_0, naive_matmul
@@ -113,6 +112,12 @@ def test_block_assemble_identity_blocks():
     assert np.array_equal(block_assemble([[i2, o2], [o2, i2]]), identity(4))
 
 
+def block_split(m, h):
+    """The inverse of block_assemble: m cut into a grid of blocks of order h."""
+    g = m.shape[0] // h
+    return [[m[i * h:(i + 1) * h, j * h:(j + 1) * h] for j in range(g)] for i in range(g)]
+
+
 def test_block_round_trip():
     rng = np.random.default_rng(10)
     m = rng.integers(-9, 10, (4, 4)).astype(np.int64)
@@ -132,22 +137,22 @@ def test_block_assemble_rejects_mismatched():
 
 def test_products_identity():
     p = Products(identity(4))
-    assert np.array_equal(p.square, identity(4))
+    assert np.array_equal(p.square_strip, identity(4))
     assert np.array_equal(p.gram, identity(4))
     assert np.array_equal(p.cogram, identity(4))
 
 
 def test_products_all_ones():
     p = Products(ones(3))
-    for g in (p.square, p.gram, p.cogram):
+    for g in (p.square_strip, p.gram, p.cogram):
         assert np.array_equal(g, 3 * ones(3))
 
 
 def test_gram_square_of_reference_example():
     m = DEZA_8_3_3_1_0
     p = Products(m)
-    s = p.square
-    assert p.square is s and p.m is m  # computed once, of m itself
+    s = p.square_strip
+    assert p.square_strip is s and p.m is m  # computed once, of m itself
     assert np.array_equal(p.gram, naive_matmul(m, m.T))
     assert np.array_equal(p.cogram, naive_matmul(m.T, m))
     assert (np.diagonal(s) == 0).all()
@@ -261,7 +266,7 @@ def test_shift_invariant_products_match_int64(h, gs):
     rng = np.random.default_rng(1000 + h)
     for g in gs:
         m = shift_invariant(rng, h, g)
-        assert _shift_period(m, m) == _shift_period(m, m.T) == h
+        assert _shift_period(m) == _shift_period(m.T) == h
         for a, b in ((m, m), (m, m.T), (m.T, m)):
             assert np.array_equal(exact_matmul(a, b), int64_oracle(a, b))
 
@@ -275,16 +280,14 @@ def test_zero_one_shift_invariant_products_match_int64():
 
 def test_operands_with_different_periods():
     rng = np.random.default_rng(16)
-    # periods 3 and 7 of order 147: the common period is their lcm, 21
+    # periods 3 and 7 of order 147, and 10 and 13 of order 130
     a, b = shift_invariant(rng, 3, 49), shift_invariant(rng, 7, 21)
-    assert _shift_period(a, a) == 3 and _shift_period(b, b) == 7
-    assert _shift_period(a, b) == _shift_period(b.T, a) == 21
-    # periods 10 and 13 of order 130: the lcm is the order, no common period
+    assert _shift_period(a) == 3 and _shift_period(b) == 7
     c, d = shift_invariant(rng, 10, 13), shift_invariant(rng, 13, 10)
-    assert _shift_period(c, d) is None
-    # no period at all on one side
+    assert _shift_period(c) == 10 and _shift_period(d.T) == 13
+    # no period at all: the order
     e = rng.integers(-3, 4, (147, 147))
-    assert _shift_period(a, e) is None and _shift_period(e, a) is None
+    assert _shift_period(e) == 147
     for x, y in ((a, b), (b.T, a), (a.T, b.T), (c, d), (d, c.T), (a, e), (e, b)):
         assert np.array_equal(exact_matmul(x, y), int64_oracle(x, y))
 
@@ -293,15 +296,14 @@ def test_operands_with_different_periods():
 def test_near_miss_fails_the_full_check(i, j):
     h = 16
     m = shift_invariant(np.random.default_rng(17), h, 8, 0, 2)
-    assert _shift_period(m, m) == h
+    assert _shift_period(m) == h
     bad = m.copy()
     bad[i, j] ^= 1
     # the flip lies outside the screened first row, first column, row h
     # and column h, so only the full comparison can reject h
     assert np.array_equal(bad[h], np.roll(bad[0], h))
     assert np.array_equal(bad[:, h], np.roll(bad[:, 0], h))
-    assert _shift_period(bad, bad) is None
-    assert _shift_period(m, bad) is None and _shift_period(bad.T, m) is None
+    assert _shift_period(bad) == _shift_period(bad.T) == 128
     for a, b in ((bad, bad), (bad, bad.T), (bad.T, bad), (m, bad)):
         assert np.array_equal(exact_matmul(a, b), int64_oracle(a, b))
 
@@ -311,7 +313,7 @@ def test_large_entries_take_the_int64_route():
     n = m.shape[0]
     # past float64's exact range, still inside int64's
     assert 2**53 <= n * max_abs(m) ** 2 < 2**63
-    assert _shift_period(m, m) == 16
+    assert _shift_period(m) == 16
     for a, b in ((m, m), (m, m.T), (m.T, m)):
         assert np.array_equal(exact_matmul(a, b), int64_oracle(a, b))
 
@@ -320,7 +322,6 @@ def test_rectangular_operands_take_the_dense_route():
     rng = np.random.default_rng(19)
     m = shift_invariant(rng, 4, 64)
     wide, tall = m[:128], m[:, :128]
-    assert _shift_period(wide, m) is None
     for a, b in ((wide, m), (m, tall), (wide, tall), (tall, wide)):
         assert np.array_equal(exact_matmul(a, b), int64_oracle(a, b))
 
@@ -331,12 +332,12 @@ def test_detected_period_of_the_paper_families():
     for m in (pair.positive_part.adjacency, pair.negative_part.adjacency,
               ra.adjacency, rb.adjacency):
         assert m.shape == ((2 * n - 1) * n,) * 2
-        assert _shift_period(m, m) == _shift_period(m, m.T) == n
+        assert _shift_period(m) == _shift_period(m.T) == n
     for p, e in ((5, 1), (3, 2)):
         field = finite_field.FiniteField(p, e)
         for alpha in range(3):
             m = construct.field_type2(field, field.element(alpha)).adjacency
-            assert _shift_period(m, m) == _shift_period(m.T, m) == field.q ** 2
+            assert _shift_period(m) == _shift_period(m.T) == field.q ** 2
 
 
 def products_cases():
@@ -355,17 +356,17 @@ def test_products_keep_the_strip_of_their_period():
     for m, period in products_cases():
         n = m.shape[0]
         p = Products(m)
-        assert p.period == period == ((n >= 128 and _shift_period(m, m.T)) or n)
-        for strip, dense, (a, b) in ((p.square_strip, p.square, (m, m)),
-                                     (p.gram_strip, p.gram, (m, m.T)),
-                                     (p.cogram_strip, p.cogram, (m.T, m))):
+        assert p.period == period == (_shift_period(m.T) if n >= 128 else n)
+        for strip, (a, b) in ((p.square_strip, (m, m)), (p.gram_strip, (m, m.T)),
+                              (p.cogram_strip, (m.T, m))):
             want = int64_oracle(a, b)
             assert strip.shape == (period, n)
             # the triple loop would take seconds on the order-130 strip
             first_rows = naive_matmul(a[:period], b) if period < 128 else want
             assert np.array_equal(strip, first_rows)
             assert np.array_equal(block_circulant(strip), want)
-            assert np.array_equal(dense, want)
+        assert np.array_equal(p.gram, block_circulant(p.gram_strip))
+        assert np.array_equal(p.cogram, block_circulant(p.cogram_strip))
 
 
 def test_block_circulant_keeps_bool_strips():

@@ -98,7 +98,8 @@ def test_feasibility_a_eq_b_inconsistent():
 
 
 def test_feasibility_zero_division():
-    with pytest.raises(ZeroDivisionError):
+    # a = b = 0 forces k^2 = t in a real digraph, so the counts are undefined
+    with pytest.raises(ValueError, match=r"a = b = 0 with k\^2 = 4 != t = 0: counts undefined"):
         feasibility(DezaParams(4, 2, 0, 0, 0))
 
 
@@ -170,6 +171,14 @@ def test_ddd_partition_validation(deza_8_3):
         verify_ddd(deza_8_3, [[0, 1], [2, 3], [4, 5]])
     with pytest.raises(ValueError):
         verify_ddd(deza_8_3, [[0, 1, 2], [3, 4], [5, 6], [7]])
+
+
+def test_ddd_partition_rejects_overlapping_classes():
+    # the union is the vertex set, but every vertex lies in two classes
+    with pytest.raises(ValueError, match="exactly once"):
+        verify_ddd(dz.directed_cycle(3), [[0, 1, 2], [0, 1, 2]])
+    with pytest.raises(ValueError, match="exactly once"):
+        verify_ddd(dz.directed_cycle(4), [[0, 1], [0, 1], [2, 3]])
 
 
 def test_discover_ddd_partition(deza_8_3):
