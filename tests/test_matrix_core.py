@@ -7,8 +7,9 @@ from hypothesis.extra.numpy import arrays
 from dezakit import construct, finite_field, hadamard
 from dezakit.matrix_core import (MAX_ORDER, _shift_period, Digraph, Products,
                                  SignedMatrix, SizeBoundError, as_int_matrix,
-                                 block_assemble, block_circulant, circulant, exact_matmul, identity, kronecker,
-                                 max_abs, ones, zeros)
+                                 block_assemble, block_circulant, circulant,
+                                 exact_matmul, identity, kronecker, max_abs, ones,
+                                 zeros)
 
 from conftest import DEZA_8_3_3_1_0, naive_matmul
 
