@@ -386,7 +386,9 @@ def check_construction_identities(field: FiniteField) -> IdentityReport:
             j = _position(field, a)
             wave = _indicator_circulant(size, (2 * j, -2 * j))
             expected = expected + q * kronecker(wave, aux[(a, gamma)])
-        return np.array_equal(exact_matmul(n_mats[al], n_mats[be]), expected)
+        # both factors, and so their product, are block-circulant with period q^2
+        return np.array_equal(
+            block_circulant(exact_matmul(n_mats[al][:q * q], n_mats[be])), expected)
 
     record("product_expansion", first_failure(
         (f"alpha={al}, beta={be}", expansion_ok(al, be))

@@ -8,7 +8,8 @@ the plain dense product.  0/1 masks, such as the position matrices of
 the verifiers, are bool.  Every operation is pure and exact: no modular
 reduction, no floating-point rounding.  Large multiplies are routed
 through BLAS only when a proven bound guarantees that every
-intermediate value is an exactly representable integer.
+intermediate value is an exactly representable integer: in float32
+below 2^24, in float64 below 2^53.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ import numpy as np
 
 INT64_MAX = np.iinfo(np.int64).max
 
-# Largest integer magnitude for which float64 accumulation is exact.
+# Integer magnitudes below which float32 and float64 accumulation is exact.
+_FLOAT32_EXACT_BOUND = 2**24
 _FLOAT_EXACT_BOUND = 2**53
 
 # Below this order the generic int64 kernel is cheap enough.
@@ -65,7 +67,7 @@ def max_abs(m: np.ndarray) -> int:
 
 
 def is_zero_one(m: np.ndarray) -> bool:
-    return bool(((m == 0) | (m == 1)).all())
+    return m.size == 0 or bool(m.min() >= 0 and m.max() <= 1)
 
 
 def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -73,10 +75,11 @@ def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     The accumulated magnitude is bounded by inner_dim * max|a| * max|b|.
     When the inner dimension is at least _BLAS_MIN_ORDER and that bound
-    fits float64's exact-integer range, the product is computed with BLAS
-    (every partial sum is an exact integer, so the result is bit-identical
-    to integer arithmetic); otherwise the int64 kernel is used.  Bounds
-    beyond int64 raise SizeBoundError.
+    fits float64's exact-integer range, BLAS computes it, in float32 when
+    the bound fits float32's range: every partial sum, in any order, FMA
+    or not, is an exact integer, so the result is bit-identical to integer
+    arithmetic.  Otherwise the int64 kernel is used.  Bounds beyond int64
+    raise SizeBoundError.
     """
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"dimension mismatch {a.shape} x {b.shape}")
@@ -87,7 +90,8 @@ def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             f"matrix product may exceed the 64-bit entry range (bound {bound})"
         )
     if inner >= _BLAS_MIN_ORDER and bound < _FLOAT_EXACT_BOUND:
-        c = a.astype(np.float64) @ b.astype(np.float64)
+        ftype = np.float32 if bound < _FLOAT32_EXACT_BOUND else np.float64
+        c = a.astype(ftype) @ b.astype(ftype)
         return np.rint(c).astype(np.int64)
     return a @ b
 
@@ -194,10 +198,11 @@ class Products:
     cogram = cached_property(lambda self: block_circulant(self.cogram_strip))
 
 
-def _frozen(m: np.ndarray) -> np.ndarray:
-    out = np.array(m, dtype=np.int64)
-    out.setflags(write=False)
-    return out
+def _frozen(rows) -> np.ndarray:
+    """A read-only square int64 copy of rows, made with one copy."""
+    m = as_int_matrix(np.array(rows, dtype=np.int64))
+    m.setflags(write=False)
+    return m
 
 
 @dataclass(frozen=True)
@@ -212,12 +217,12 @@ class Digraph:
     loops_allowed: bool = False
 
     def __post_init__(self):
-        m = as_int_matrix(self.adjacency)
+        m = _frozen(self.adjacency)
         if not is_zero_one(m):
             raise ValueError("adjacency entries must be 0 or 1")
         if not self.loops_allowed and m.trace() != 0:
             raise ValueError("loops present but loops_allowed is False")
-        object.__setattr__(self, "adjacency", _frozen(m))
+        object.__setattr__(self, "adjacency", m)
 
     @property
     def n(self) -> int:
@@ -243,10 +248,10 @@ class SignedMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = as_int_matrix(self.matrix)
-        if not bool(((m >= -1) & (m <= 1)).all()):
+        m = _frozen(self.matrix)
+        if max_abs(m) > 1:
             raise ValueError("entries must lie in {-1, 0, 1}")
-        object.__setattr__(self, "matrix", _frozen(m))
+        object.__setattr__(self, "matrix", m)
 
     @property
     def n(self) -> int:

@@ -386,14 +386,24 @@ def verify_ddd(d: Digraph, partition, *, products: Products | None = None) -> Ve
     m, n = d.adjacency, d.n
     products = _products_of(m, products)
     label, n_classes, size = _check_partition(n, partition)
-    if not ((m + m.T) <= 1).all():
-        u, v = np.argwhere((m + m.T) > 1)[0]
+    # read the first h rows when the period shift maps classes onto classes:
+    # img[label[i]] = label[i + h] is well defined (equal sizes make it onto)
+    h = products.period
+    shifted = np.roll(label, -h)
+    img = np.empty(n_classes, dtype=np.int64)
+    img[label] = shifted
+    if not np.array_equal(img[label], shifted):
+        h = n
+    mutual = m[:h] + m.T[:h]
+    if not (mutual <= 1).all():
+        u, v = np.argwhere(mutual > 1)[0]
         return _fail(f"not asymmetric: mutual arcs between {int(u)} and {int(v)}")
     k, witness = _regularity(m)
     if witness:
         return _fail(witness)
-    gout, gin = products.gram, products.cogram
-    across_mask = label[:, None] != label[None, :]
+    gout, gin = ((products.gram_strip, products.cogram_strip) if h < n
+                 else (products.gram, products.cogram))
+    across_mask = label[:h, None] != label[None, :]
     within_mask = ~across_mask
     np.fill_diagonal(within_mask, False)
     lam1 = lam2 = None
@@ -429,15 +439,16 @@ def discover_ddd_partition(d: Digraph, *,
     """
     m, n = d.adjacency, d.n
     products = _products_of(m, products)
-    if not ((m + m.T) <= 1).all():
+    h = products.period
+    if not ((m[:h] + m.T[:h]) <= 1).all():
         return None
-    g = products.gram
+    g = products.gram_strip
     vals = _offdiag_values(g)
     if len(vals) > 2:
         return None
-    # the rarer value first
+    # the rarer value first; the strip counts are the Gram's times h/n
     for v in sorted(vals, key=lambda v: int((_offdiag(g) == v).sum())):
-        rel = g == v
+        rel = block_circulant(g == v)
         np.fill_diagonal(rel, True)
         classes = _equivalence_classes(rel)
         if classes is None:

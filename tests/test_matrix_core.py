@@ -183,6 +183,28 @@ def test_exact_matmul_blas_path_is_exact():
     assert np.array_equal(exact_matmul(a, b), a @ b)
 
 
+@pytest.mark.parametrize("amax, bmax, tier", [(511, 256, "float32"), (1023, 255, "float64")])
+def test_float32_tier_is_exact_at_its_edge(amax, bmax, tier):
+    # inner dimension 128, so the bound is 128 * amax * bmax: just below
+    # 2^24 the product takes the float32 tier, in [2^24, 2^25) float64
+    bound = 128 * amax * bmax
+    assert (bound < 2**24) == (tier == "float32") and 2**23 < bound < 2**25
+    rng = np.random.default_rng(amax)
+    a = rng.integers(-amax, amax + 1, (128, 128))
+    b = rng.integers(-bmax, bmax + 1, (128, 128))
+    a[0], a[1] = amax, -amax
+    b[:, 0] = bmax
+    b[0, 0] = bmax - 1
+    want = int64_oracle(a, b)
+    corner = bound - amax
+    assert want[0, 0] == corner == -want[1, 0] and corner % 2 == 1
+    # odd and above 2^24, so float32 cannot hold it: a float32 tier one
+    # power of two too wide would round it
+    assert (int(np.float32(corner)) != corner) == (tier == "float64")
+    assert np.array_equal(exact_matmul(a, b), want)
+    assert np.array_equal(exact_matmul(b.T, a.T), want.T)
+
+
 def test_exact_matmul_overflow_guard():
     big = np.full((2, 2), 2**32, dtype=np.int64)
     with pytest.raises(SizeBoundError):

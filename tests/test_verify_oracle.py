@@ -355,8 +355,11 @@ def test_block_circulant_input_matches_brute_force_counts():
     d = dz.lex_product(dz.paley_tournament(67), dz.empty_digraph(2))
     assert d.n == 134 and _shift_period(d.adjacency) == _shift_period(d.adjacency.T) == 2
     classes = [[2 * r, 2 * r + 1] for r in range(67)]
-    check_against_oracle(d.adjacency, classes)
-    check_shared_products(d.adjacency, classes)
+    # the shift by 2 maps these classes onto classes, but not the pairs
+    # {0, 3} and {1, 2}, whose verdict needs the rows below 2 as well
+    for partition in (classes, [[0, 3], [1, 2]] + classes[2:]):
+        check_against_oracle(d.adjacency, partition)
+        check_shared_products(d.adjacency, partition)
     assert verify.verify_type2(d).params == DezaGraphParams(134, 66, 66, 32)
     assert verify.verify_ddd(d, verify.discover_ddd_partition(d)).params == \
         DddParams(134, 66, 66, 32, 67, 2)
@@ -375,7 +378,8 @@ TWO_VALUED_STRIPS = tuple(d.adjacency[:h] for d, h in (
 @st.composite
 def block_circulant_matrices(draw):
     """A 0/1 matrix of order 128..160 that block_circulant expands from
-    a strip of height h <= 4, with a partition into equal classes.
+    a strip of height h <= 4, with a partition into equal classes, drawn
+    at random or invariant under the shift by h.
     Random strips give irregular matrices.  Strips of h x h permutation
     or zero blocks, the first one zero, give loop-free regular matrices
     whose products take many values, with M M^t != M^t M in general when
@@ -403,8 +407,18 @@ def block_circulant_matrices(draw):
     if diagonal != "keep":
         m = m.copy()
         np.fill_diagonal(m, int(diagonal == "fill"))
-    n = m.shape[0]
-    size = draw(st.sampled_from([c for c in range(1, n + 1) if n % c == 0]))
+    n, h = m.shape[0], strip.shape[0]
+    divisors = [c for c in range(1, n + 1) if n % c == 0]
+    # residue classes mod c | n and runs of s | h consecutive vertices are
+    # invariant under the shift by h, so verify_ddd reads their strips
+    partition = draw(st.sampled_from(["random", "residues", "blocks"]))
+    if partition == "residues":
+        c = draw(st.sampled_from(divisors))
+        return m, [list(range(r, n, c)) for r in range(c)]
+    if partition == "blocks":
+        s = draw(st.sampled_from([s for s in divisors if h % s == 0]))
+        return m, [list(range(i, i + s)) for i in range(0, n, s)]
+    size = draw(st.sampled_from(divisors))
     perm = draw(st.permutations(range(n)))
     return m, [sorted(perm[i:i + size]) for i in range(0, n, size)]
 
@@ -419,6 +433,18 @@ def test_block_circulant_verifiers_match_brute_force_counts(case):
     assert Products(m).period < m.shape[0]
     check_against_oracle(m, classes)
     check_shared_products(m, classes)
+
+
+def test_ddd_of_twin_block_classes_reads_the_strips():
+    # the shift by the period 16 maps block class r to block class r + 1
+    pair, _ = dz.twin_directed(dz.sylvester(4))
+    part, classes = pair.positive_part, pair.block_classes()
+    p = Products(part.adjacency)
+    got = verify.verify_ddd(part, classes, products=p)
+    verify.discover_ddd_partition(part, products=p)
+    assert p.period == 16 and "gram" not in p.__dict__ and "cogram" not in p.__dict__
+    assert not got.ok
+    assert report_to_dict(got) == report_to_dict(ddd_oracle(part.adjacency.tolist(), classes))
 
 
 @pytest.fixture
