@@ -157,17 +157,24 @@ def _search(n: int, k: int, t: int, allowed, limit: int | None):
     so solutions appear in ascending adjacency order deterministically.
     """
     _check_search(n, limit)
-    if k > n - 1 or t > k:
+    # the mutual arcs form a t-regular graph, so n * t is even (handshake lemma)
+    if k > n - 1 or t > k or n * t % 2:
         return
     solutions = 0
     rows: list[int] = []
     colmask = [0] * n  # bit w set iff row w (already placed) has a 1 in column v
     full = (1 << n) - 1
     candidates = [_row_candidates(n, k, r) for r in range(n)]
-    # arc bit -> (lo, hi, values) of the final M^2 entry
-    spec = [(min(values), max(values), frozenset(values)) for values in allowed]
-    glo = min(lo for lo, _, _ in spec)
-    ghi = max(hi for _, hi, _ in spec)
+    # (lo, hi, values) of the final M^2 entry: non-arc, arc, diagonal
+    spec = [(min(values), max(values), frozenset(values)) for values in (*allowed, {t})]
+    glo = min(lo for lo, _, _ in spec[:2])
+    ghi = max(hi for _, hi, _ in spec[:2])
+    # rule[cls][partial][add_cap]: None if a cell with that many two-paths
+    # so far, and at most add_cap more to come, cannot end in its values;
+    # else the (least, most) two-paths the rows still to come must add
+    rule = [[[None if p > hi or p + cap < lo or (cap == 0 and p not in values)
+              else (max(lo - p, 0), min(hi - p, cap))
+              for cap in range(k + 1)] for p in range(k + 1)] for lo, hi, values in spec]
     off_diagonal = ~np.eye(n, dtype=bool)
 
     def feasible_after() -> bool:
@@ -186,35 +193,18 @@ def _search(n: int, k: int, t: int, allowed, limit: int | None):
         col_hi = [0] * n
         for u in range(placed):
             # for a placed row every arc bit is known; only the rows still
-            # to come can add two-paths, each adding exactly k in total
+            # to come can add two-paths, each adding exactly k in total;
+            # an addition needs a future out-neighbour of u with a 1 in column v
             ru = rows[u]
             pending = (ru & future).bit_count()
-            mut = (ru & colmask[u]).bit_count()
-            mut_cap = pending if pending < colcap[u] else colcap[u]
-            if mut > t or mut + mut_cap < t:
-                return False
-            row_lo = t - mut
-            row_hi = t - mut
-            col_lo[u] += t
-            col_hi[u] += t
+            row_lo = row_hi = 0
             for v in range(n):
-                if v == u:
-                    continue
                 partial = (ru & colmask[v]).bit_count()
-                lo_uv, hi_uv, values_uv = spec[(ru >> v) & 1]
-                # additions need a future row that is an out-neighbour of u
-                # and lands a 1 in column v
-                add_cap = pending if pending < colcap[v] else colcap[v]
-                if partial > hi_uv or partial + add_cap < lo_uv:
+                cap = colcap[v]
+                cell = rule[2 if v == u else (ru >> v) & 1][partial][pending if pending < cap else cap]
+                if cell is None:
                     return False
-                if add_cap == 0 and partial not in values_uv:
-                    return False
-                flo = lo_uv - partial
-                if flo < 0:
-                    flo = 0
-                fhi = hi_uv - partial
-                if fhi > add_cap:
-                    fhi = add_cap
+                flo, fhi = cell
                 row_lo += flo
                 row_hi += fhi
                 col_lo[v] += partial + flo
@@ -233,6 +223,34 @@ def _search(n: int, k: int, t: int, allowed, limit: int | None):
             if not (lo_total <= k * k <= hi_total):
                 return False
         return True
+
+    def bit_masks(r: int) -> tuple[int, int]:
+        """Bits of row r that feasible_after would force clear (forbid) and
+        set (require): each column count, and each cell of a placed row,
+        depends on one bit of row r alone."""
+        forbid = require = 0
+        cs = [colmask[v].bit_count() for v in range(n)]
+        for v in range(n):
+            if cs[v] >= k:
+                forbid |= 1 << v
+            if cs[v] + n - r - 1 - (v > r) < k:
+                require |= 1 << v
+        for u in range(r):
+            # bit v of row r adds into to the cell (u, v) and takes one from
+            # the room left in column v; u loses r as a future out-neighbour
+            ru = rows[u]
+            into = (ru >> r) & 1
+            pending = (ru >> r + 1).bit_count()
+            for v in range(n):
+                table = rule[2 if v == u else (ru >> v) & 1]
+                partial = (ru & colmask[v]).bit_count()
+                cap = k - cs[v]
+                if table[partial][pending if pending < cap else cap] is None:
+                    require |= 1 << v
+                cap -= 1
+                if cap >= 0 and table[partial + into][pending if pending < cap else cap] is None:
+                    forbid |= 1 << v
+        return forbid, require
 
     def final_matrix() -> np.ndarray | None:
         m = (np.array(rows)[:, None] >> np.arange(n)) & 1
@@ -255,14 +273,13 @@ def _search(n: int, k: int, t: int, allowed, limit: int | None):
                 solutions += 1
                 yield m
             return
-        full_cols = 0
-        for v in range(n):
-            if colmask[v].bit_count() >= k:
-                full_cols |= 1 << v
+        forbid, require = bit_masks(r)
+        if forbid & require:
+            return
         col_r = colmask[r]
         low = (1 << r) - 1
         for mask in candidates[r]:
-            if mask & full_cols:
+            if mask & forbid or mask & require != require:
                 continue
             if t == k:
                 # every arc is mutual, so the bits below the diagonal are

@@ -174,7 +174,8 @@ def test_criterion_05_field_family(q, budget):
         if a != f.zero:
             ok &= verify_type2(mats[a]).params.as_tuple() == expected
         ok &= np.array_equal(mats[a].adjacency.T, mats[f.neg(a)].adjacency)
-    arrays = [mats[a].adjacency for a in f.elements]
+    # float64 products are exact here: every entry is at most the order < 2^53
+    arrays = [mats[a].adjacency.astype(np.float64) for a in f.elements]
     for x in arrays:
         for y in arrays:
             ok &= np.array_equal(x @ y, y @ x)

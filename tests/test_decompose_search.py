@@ -134,22 +134,47 @@ def test_search_is_deterministic_and_sorted():
 
 def _regular_loop_free(n, k):
     """Every loop-free 0/1 matrix of order n with all row and column sums
-    k, in ascending row-major order, and the squares of them all."""
+    k, in ascending row-major order, and the squares of them all.  The
+    first n - 1 rows run over every choice; the column sums force the last."""
     rows = [np.array([v for v in itertools.product((0, 1), repeat=n)
                       if sum(v) == k and not v[r]], dtype=np.int64).reshape(-1, n)
-            for r in range(n)]
+            for r in range(n - 1)]
     picks = np.array(list(itertools.product(*(range(len(c)) for c in rows))),
-                     dtype=np.int64).reshape(-1, n)
-    m = np.stack([rows[r][picks[:, r]] for r in range(n)], axis=1).reshape(-1, n, n)
-    m = m[(m.sum(axis=1) == k).all(axis=1)]
+                     dtype=np.int64).reshape(-1, n - 1)
+    head = np.stack([rows[r][picks[:, r]] for r in range(n - 1)], axis=1)
+    last = k - head.sum(axis=1)
+    keep = ((last == 0) | (last == 1)).all(axis=1) & (last[:, n - 1] == 0)
+    m = np.concatenate([head[keep], last[keep, None, :]], axis=1)
     return m, m @ m
 
 
-def test_search_matches_brute_force_below_order_six():
+@pytest.fixture(scope="module")
+def regular_scan():
+    """(n, k) -> every loop-free k-regular matrix of order n <= 6 and its square."""
+    return {(n, k): _regular_loop_free(n, k) for n in range(2, 7) for k in range(n)}
+
+
+def test_regular_scan_counts(regular_scan):
+    # k = 1 counts derangements, n - 1 - k is the complement count, and
+    # k = 2 gives the labelled 2-regular digraphs (OEIS A007107)
+    derangements = {2: 1, 3: 2, 4: 9, 5: 44, 6: 265}
+    two_regular = {3: 1, 4: 9, 5: 216, 6: 7570}
+    counts = {key: len(m) for key, (m, _) in regular_scan.items()}
+    for (n, k), c in counts.items():
+        assert c == counts[(n, n - 1 - k)]
+        assert c == {0: 1, 1: derangements[n], 2: two_regular.get(n)}.get(k, c)
+    assert sum(c for (n, _), c in counts.items() if n == 6) == 15672
+    for (n, k), (m, _) in regular_scan.items():
+        assert (m.sum(axis=1) == k).all() and (m.sum(axis=2) == k).all(), (n, k)
+        assert not np.diagonal(m, axis1=1, axis2=2).any(), (n, k)
+        flat = [tuple(x) for x in m.reshape(len(m), -1).tolist()]
+        assert flat == sorted(set(flat)), (n, k)
+
+
+def test_search_matches_brute_force_to_order_six(regular_scan):
     """The labelled hits of both searches are exactly the matrices an
     exhaustive scan accepts, in the same ascending order."""
-    batches = {(n, k): _regular_loop_free(n, k) for n in range(2, 6) for k in range(n)}
-    for n in range(2, 6):
+    for n in range(2, 7):
         for k in range(n + 1):
             for b in range(k + 1):
                 for a in range(b + 1):
@@ -160,7 +185,7 @@ def test_search_matches_brute_force_below_order_six():
                                 continue
                         except ValueError:
                             continue
-                        m, s = batches.get((n, k), (np.zeros((0, n, n), np.int64),) * 2)
+                        m, s = regular_scan.get((n, k), (np.zeros((0, n, n), np.int64),) * 2)
                         off = s[:, ~np.eye(n, dtype=bool)]
                         keep = (np.diagonal(s, axis1=1, axis2=2) == t).all(axis=1) \
                             & np.isin(off, [a, b]).all(axis=1)
@@ -168,20 +193,39 @@ def test_search_matches_brute_force_below_order_six():
                         assert [d.adjacency.tolist() for d in hits] == m[keep].tolist(), \
                             params.as_tuple()
 
-    expected = []
-    for n in range(2, 6):
-        for k in range(1, n - 1):
-            m, s = batches[(n, k)]
-            for mat, sq in zip(m, s):
-                t = int(sq[0, 0])
-                arc = mat == 1
-                non = ~arc & ~np.eye(n, dtype=bool)
-                lam, mu = set(sq[arc].tolist()), set(sq[non].tolist())
-                if t < k and (np.diagonal(sq) == t).all() and len(lam) == len(mu) == 1:
-                    expected.append(((n, k, lam.pop(), mu.pop(), t), mat.tolist()))
+    expected = [(p, mat.tolist()) for n in range(2, 7) for k in range(1, n - 1)
+                for p, mat in _scan_dsrgs(regular_scan, n, k)]
     expected.sort(key=lambda e: (e[0][0], e[0][1], e[0][4], e[0][2], e[1]))
-    found = [(p.as_tuple(), d.adjacency.tolist()) for p, d in search_dsrg(5)]
+    found = [(p.as_tuple(), d.adjacency.tolist()) for p, d in search_dsrg(6)]
     assert found == expected
+
+
+def _scan_dsrgs(regular_scan, n, k):
+    """(n, k, lam, mu, t) and matrix of every DSRG with t < k in the scan."""
+    m, s = regular_scan[(n, k)]
+    eye = np.eye(n, dtype=bool)
+    for mat, sq in zip(m, s):
+        t = int(sq[0, 0])
+        arc = mat == 1
+        lam, mu = set(sq[arc].tolist()), set(sq[~arc & ~eye].tolist())
+        if t < k and (np.diagonal(sq) == t).all() and len(lam) == len(mu) == 1:
+            yield (n, k, lam.pop(), mu.pop(), t), mat
+
+
+def test_search_prunes_odd_handshake():
+    # the mutual arcs form a t-regular graph on n vertices, so n * t is even;
+    # feasibility() admits (7,4,3,2,3) all the same
+    assert dz.feasibility(DezaParams(7, 4, 3, 2, 3)).feasible
+    assert search_deza_digraphs(DezaParams(7, 4, 3, 2, 3)) == []
+    assert list(_search(5, 2, 1, ({0}, {1}), None)) == []
+
+
+def test_search_checks_arguments_before_parity():
+    # n * t is odd in both, but the order bound and the limit check come first
+    with pytest.raises(SizeBoundError):
+        search_deza_digraphs(DezaParams(11, 2, 1, 0, 1))
+    with pytest.raises(ValueError, match="limit -1 is negative"):
+        search_deza_digraphs(DezaParams(5, 2, 1, 0, 1), limit=-1)
 
 
 def test_search_limit():
@@ -222,9 +266,11 @@ def test_search_dsrg_contains_tournament(dsrg_catalogue_7):
     assert any(canonical_form(d) == key for d in hits[:10])
 
 
-def test_spectral_filter_never_rejects_realizable():
+def test_spectral_filter_never_rejects_realizable(regular_scan):
     """Exhaustive cross-check of the trace argument on small orders: any
-    tuple it rejects really has no realization."""
+    tuple it rejects really has no realization in the exhaustive scan."""
+    realized = {p for n in range(2, 7) for k in range(1, n - 1)
+                for p, _ in _scan_dsrgs(regular_scan, n, k)}
     for n in range(2, 7):
         for k in range(1, n - 1):
             for t in range(0, k):
@@ -236,10 +282,8 @@ def test_spectral_filter_never_rejects_realizable():
                     mu = rest // den
                     if not 0 <= mu <= k:
                         continue
-                    if dsrg_spectral_feasible(n, k, lam, mu, t):
-                        continue
-                    found = list(_search(n, k, t, ({mu}, {lam}), 1))
-                    assert not found, (n, k, lam, mu, t)
+                    if not dsrg_spectral_feasible(n, k, lam, mu, t):
+                        assert (n, k, lam, mu, t) not in realized
 
 
 def test_canonical_form_relabeling_invariance(deza_8_3):
