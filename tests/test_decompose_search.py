@@ -155,14 +155,11 @@ def regular_scan():
 
 
 def test_regular_scan_counts(regular_scan):
-    # k = 1 counts derangements, n - 1 - k is the complement count, and
-    # k = 2 gives the labelled 2-regular digraphs (OEIS A007107)
-    derangements = {2: 1, 3: 2, 4: 9, 5: 44, 6: 265}
-    two_regular = {3: 1, 4: 9, 5: 216, 6: 7570}
     counts = {key: len(m) for key, (m, _) in regular_scan.items()}
     for (n, k), c in counts.items():
-        assert c == counts[(n, n - 1 - k)]
-        assert c == {0: 1, 1: derangements[n], 2: two_regular.get(n)}.get(k, c)
+        assert c == counts[(n, n - 1 - k)], (n, k)  # complements in J - I
+    assert [counts[(n, 1)] for n in range(2, 7)] == [1, 2, 9, 44, 265]  # derangements
+    assert [counts[(n, 2)] for n in range(3, 7)] == [1, 9, 216, 7570]  # OEIS A007107
     assert sum(c for (n, _), c in counts.items() if n == 6) == 15672
     for (n, k), (m, _) in regular_scan.items():
         assert (m.sum(axis=1) == k).all() and (m.sum(axis=2) == k).all(), (n, k)
@@ -267,23 +264,13 @@ def test_search_dsrg_contains_tournament(dsrg_catalogue_7):
 
 
 def test_spectral_filter_never_rejects_realizable(regular_scan):
-    """Exhaustive cross-check of the trace argument on small orders: any
-    tuple it rejects really has no realization in the exhaustive scan."""
+    """Exhaustive cross-check of the trace argument on small orders: it
+    accepts the tuple of every DSRG with t < k in the exhaustive scan."""
     realized = {p for n in range(2, 7) for k in range(1, n - 1)
                 for p, _ in _scan_dsrgs(regular_scan, n, k)}
-    for n in range(2, 7):
-        for k in range(1, n - 1):
-            for t in range(0, k):
-                for lam in range(0, k + 1):
-                    rest = k * k - t - lam * k
-                    den = n - 1 - k
-                    if den == 0 or rest % den:
-                        continue
-                    mu = rest // den
-                    if not 0 <= mu <= k:
-                        continue
-                    if not dsrg_spectral_feasible(n, k, lam, mu, t):
-                        assert (n, k, lam, mu, t) not in realized
+    assert (6, 2, 0, 1, 1) in realized
+    for p in realized:
+        assert dsrg_spectral_feasible(*p), p
 
 
 def test_canonical_form_relabeling_invariance(deza_8_3):
