@@ -155,6 +155,7 @@ def _search(n: int, k: int, t: int, allowed, limit: int | None):
     values of an off-diagonal (u, v) entry of M^2, indexed by whether
     u -> v is an arc.  Rows are chosen in ascending lexicographic order,
     so solutions appear in ascending adjacency order deterministically.
+    Every node, a leaf too, is judged once by one table of the cell rule.
     """
     _check_search(n, limit)
     # the mutual arcs form a t-regular graph, so n * t is even (handshake lemma)
@@ -163,7 +164,6 @@ def _search(n: int, k: int, t: int, allowed, limit: int | None):
     solutions = 0
     rows: list[int] = []
     colmask = [0] * n  # bit w set iff row w (already placed) has a 1 in column v
-    full = (1 << n) - 1
     candidates = [_row_candidates(n, k, r) for r in range(n)]
     # (lo, hi, values) of the final M^2 entry: non-arc, arc, diagonal
     spec = [(min(values), max(values), frozenset(values)) for values in (*allowed, {t})]
@@ -175,126 +175,87 @@ def _search(n: int, k: int, t: int, allowed, limit: int | None):
     rule = [[[None if p > hi or p + cap < lo or (cap == 0 and p not in values)
               else (max(lo - p, 0), min(hi - p, cap))
               for cap in range(k + 1)] for p in range(k + 1)] for lo, hi, values in spec]
-    off_diagonal = ~np.eye(n, dtype=bool)
 
-    def feasible_after() -> bool:
-        placed = len(rows)
-        remaining = n - placed
-        future = full ^ ((1 << placed) - 1)
+    def prune(r: int) -> tuple[int, int] | None:
+        """Judge the node with rows 0..r-1 placed: None if a cell of M^2 or
+        a row or column total of M^2 can no longer be met, else the bits
+        of row r that must be clear (forbid) and set (require).  Each
+        column count, and each cell of a placed row, depends on one bit
+        of row r alone.  At r = n every cell is read with nothing to come,
+        so only its final values pass."""
+        forbid = require = 0
         colcap = [0] * n
         for v in range(n):
+            # from the root on, the masks keep every column count at most
+            # k and within reach of k, so no node needs to check it
             cs = colmask[v].bit_count()
-            if cs > k:
-                return False
-            if cs + remaining - (1 if v >= placed else 0) < k:
-                return False
-            colcap[v] = k - cs  # future rows can add at most this many 1s
+            colcap[v] = k - cs  # rows to come can add at most this many 1s
+            if cs == k:
+                forbid |= 1 << v
+            elif v != r and cs + n - r - (v > r) == k:
+                require |= 1 << v  # every row to come must fill column v
         col_lo = [0] * n
         col_hi = [0] * n
-        for u in range(placed):
-            # for a placed row every arc bit is known; only the rows still
-            # to come can add two-paths, each adding exactly k in total;
-            # an addition needs a future out-neighbour of u with a 1 in column v
+        for u in range(r):
+            # for a placed row every arc bit is known; only its pending
+            # future out-neighbours, r among them iff into, add two-paths,
+            # each exactly k in total.  Bit v of row r adds into to the
+            # cell (u, v) and takes one from the room left in column v
             ru = rows[u]
-            pending = (ru & future).bit_count()
+            pending = (ru >> r).bit_count()
+            into = (ru >> r) & 1
+            later = pending - into
             row_lo = row_hi = 0
             for v in range(n):
+                table = rule[2 if v == u else (ru >> v) & 1]
                 partial = (ru & colmask[v]).bit_count()
                 cap = colcap[v]
-                cell = rule[2 if v == u else (ru >> v) & 1][partial][pending if pending < cap else cap]
+                cell = table[partial][pending if pending < cap else cap]
                 if cell is None:
-                    return False
+                    return None
                 flo, fhi = cell
                 row_lo += flo
                 row_hi += fhi
                 col_lo[v] += partial + flo
                 col_hi[v] += partial + fhi
-            # each future out-neighbour of u contributes exactly k
-            # two-paths from u; the clamped per-cell ranges must admit it
-            target = pending * k
-            if not (row_lo <= target <= row_hi):
-                return False
+                if table[partial][later if later < cap else cap] is None:
+                    require |= 1 << v
+                if cap and table[partial + into][later if later < cap else cap - 1] is None:
+                    forbid |= 1 << v
+            if not row_lo <= pending * k <= row_hi:
+                return None
         # column sums of M^2 equal k^2: unplaced rows contribute between
         # glo and ghi per off-diagonal cell and exactly t on the diagonal
         for v in range(n):
-            unknown_off = remaining - (1 if v >= placed else 0)
-            lo_total = col_lo[v] + unknown_off * glo + (t if v >= placed else 0)
-            hi_total = col_hi[v] + unknown_off * ghi + (t if v >= placed else 0)
-            if not (lo_total <= k * k <= hi_total):
-                return False
-        return True
-
-    def bit_masks(r: int) -> tuple[int, int]:
-        """Bits of row r that feasible_after would force clear (forbid) and
-        set (require): each column count, and each cell of a placed row,
-        depends on one bit of row r alone."""
-        forbid = require = 0
-        cs = [colmask[v].bit_count() for v in range(n)]
-        for v in range(n):
-            if cs[v] >= k:
-                forbid |= 1 << v
-            if cs[v] + n - r - 1 - (v > r) < k:
-                require |= 1 << v
-        for u in range(r):
-            # bit v of row r adds into to the cell (u, v) and takes one from
-            # the room left in column v; u loses r as a future out-neighbour
-            ru = rows[u]
-            into = (ru >> r) & 1
-            pending = (ru >> r + 1).bit_count()
-            for v in range(n):
-                table = rule[2 if v == u else (ru >> v) & 1]
-                partial = (ru & colmask[v]).bit_count()
-                cap = k - cs[v]
-                if table[partial][pending if pending < cap else cap] is None:
-                    require |= 1 << v
-                cap -= 1
-                if cap >= 0 and table[partial + into][pending if pending < cap else cap] is None:
-                    forbid |= 1 << v
-        return forbid, require
-
-    def final_matrix() -> np.ndarray | None:
-        m = (np.array(rows)[:, None] >> np.arange(n)) & 1
-        s = m @ m
-        if not (np.diagonal(s) == t).all():
-            return None
-        for arc, values in enumerate(allowed):
-            if not np.isin(s[off_diagonal & (m == arc)], list(values)).all():
+            unknown_off = n - r - (v >= r)
+            diagonal = t if v >= r else 0
+            if not (col_lo[v] + unknown_off * glo + diagonal <= k * k
+                    <= col_hi[v] + unknown_off * ghi + diagonal):
                 return None
-        return m
+        return forbid, require
 
     def backtrack():
         nonlocal solutions
         if limit is not None and solutions >= limit:
             return
         r = len(rows)
+        masks = prune(r)
+        if masks is None:
+            return
         if r == n:
-            m = final_matrix()
-            if m is not None:
-                solutions += 1
-                yield m
+            solutions += 1
+            yield (np.array(rows)[:, None] >> np.arange(n)) & 1
             return
-        forbid, require = bit_masks(r)
-        if forbid & require:
-            return
-        col_r = colmask[r]
-        low = (1 << r) - 1
+        forbid, require = masks
+        rbit = 1 << r
         for mask in candidates[r]:
             if mask & forbid or mask & require != require:
                 continue
-            if t == k:
-                # every arc is mutual, so the bits below the diagonal are
-                # forced to mirror the arcs already pointing at r
-                if (mask & low) != col_r:
-                    continue
-            elif (mask & col_r).bit_count() > t:
-                continue
             rows.append(mask)
-            rbit = 1 << r
             for v in range(n):
                 if (mask >> v) & 1:
                     colmask[v] |= rbit
-            if feasible_after():
-                yield from backtrack()
+            yield from backtrack()
             for v in range(n):
                 if (mask >> v) & 1:
                     colmask[v] &= ~rbit

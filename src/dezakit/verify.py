@@ -289,7 +289,8 @@ def feasibility(params: DezaParams) -> Feasibility:
     inequality a(n-1) < k^2 - t < b(n-1) when both counts are nonzero.
     """
     n, k, b, a, t = params.as_tuple()
-    if not (0 <= a <= b <= k <= n) or not (0 <= t <= k):
+    # a loop-free digraph of order n has out-degree at most n - 1
+    if not (0 <= a <= b <= k < n) or not (0 <= t <= k):
         raise ValueError(f"parameter invariants violated for {params}")
     af, bf = _closed_form_counts(n, k, b, a, t)
     if af.denominator != 1 or bf.denominator != 1:

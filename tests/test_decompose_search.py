@@ -168,11 +168,20 @@ def test_regular_scan_counts(regular_scan):
         assert flat == sorted(set(flat)), (n, k)
 
 
+def _scan_hits(regular_scan, n, k, t, allowed):
+    """The scan's matrices with diagonal t whose off-diagonal cells of M^2
+    hold the values of their class (allowed[0] on non-arcs, allowed[1] on arcs)."""
+    m, s = regular_scan[(n, k)]
+    ok = np.where(np.eye(n, dtype=bool), s == t,
+                  np.where(m == 1, np.isin(s, list(allowed[1])), np.isin(s, list(allowed[0]))))
+    return m[ok.all(axis=(1, 2))].tolist()
+
+
 def test_search_matches_brute_force_to_order_six(regular_scan):
     """The labelled hits of both searches are exactly the matrices an
     exhaustive scan accepts, in the same ascending order."""
     for n in range(2, 7):
-        for k in range(n + 1):
+        for k in range(n):
             for b in range(k + 1):
                 for a in range(b + 1):
                     for t in range(k + 1):
@@ -182,13 +191,9 @@ def test_search_matches_brute_force_to_order_six(regular_scan):
                                 continue
                         except ValueError:
                             continue
-                        m, s = regular_scan.get((n, k), (np.zeros((0, n, n), np.int64),) * 2)
-                        off = s[:, ~np.eye(n, dtype=bool)]
-                        keep = (np.diagonal(s, axis1=1, axis2=2) == t).all(axis=1) \
-                            & np.isin(off, [a, b]).all(axis=1)
                         hits = search_deza_digraphs(params)
-                        assert [d.adjacency.tolist() for d in hits] == m[keep].tolist(), \
-                            params.as_tuple()
+                        assert [d.adjacency.tolist() for d in hits] == \
+                            _scan_hits(regular_scan, n, k, t, ({a, b}, {a, b})), params.as_tuple()
 
     expected = [(p, mat.tolist()) for n in range(2, 7) for k in range(1, n - 1)
                 for p, mat in _scan_dsrgs(regular_scan, n, k)]
@@ -207,6 +212,32 @@ def _scan_dsrgs(regular_scan, n, k):
         lam, mu = set(sq[arc].tolist()), set(sq[~arc & ~eye].tolist())
         if t < k and (np.diagonal(sq) == t).all() and len(lam) == len(mu) == 1:
             yield (n, k, lam.pop(), mu.pop(), t), mat
+
+
+def test_search_matches_scan_per_arc_class(regular_scan):
+    """_search on its own, with value sets the public searches never pass
+    (unequal, with gaps), emits exactly the scan's matches in ascending
+    order, and limit=j emits the first j of them.  The sets are a seeded
+    sample plus the full range and the gapped pair {0, 2} / {1}."""
+    rng = np.random.default_rng(15)
+    hits = empty = 0
+    for (n, k) in regular_scan:
+        for t in range(k + 1):
+            sets = [set(range(k + 1))] + [
+                {int(x) for x in rng.choice(k + 1, rng.integers(1, k + 2), replace=False)}
+                for _ in range(2)]
+            pairs = [(x, y) for x in sets for y in sets]
+            if k >= 2:
+                pairs += [({0, 2}, {1}), ({1}, {0, 2})]
+            for allowed in pairs:
+                expected = _scan_hits(regular_scan, n, k, t, allowed)
+                found = [m.tolist() for m in _search(n, k, t, allowed, None)]
+                assert found == expected, (n, k, t, allowed)
+                j = int(rng.integers(len(found) + 1))
+                assert [m.tolist() for m in _search(n, k, t, allowed, j)] == found[:j]
+                hits += len(found)
+                empty += not found
+    assert hits > 0 and empty > 0
 
 
 def test_search_prunes_odd_handshake():

@@ -363,6 +363,11 @@ def test_cli_search_and_feasibility(capsys):
     assert len(captured.out.strip().splitlines()) == 2
     assert run_cli("feasibility", "--params", "8,3,3,1,0") == 0
     assert run_cli("feasibility", "--params", "8,3,3,1,1") == 1
+    capsys.readouterr()
+    # a loop-free digraph of order 2 has out-degree at most 1
+    assert run_cli("feasibility", "--params", "2,2,2,2,2") == 1
+    assert capsys.readouterr().err == ("infeasible: parameter invariants violated for "
+                                       "DezaParams(n=2, k=2, b=2, a=2, t=2)\n")
 
 
 def test_cli_feasibility_with_undefined_counts(capsys):

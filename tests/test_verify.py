@@ -106,6 +106,10 @@ def test_feasibility_zero_division():
 def test_feasibility_invariant_violation():
     with pytest.raises(ValueError):
         feasibility(DezaParams(4, 2, 1, 2, 0))
+    # a loop-free digraph of order n has out-degree at most n - 1
+    for params in [(2, 2, 2, 2, 2), (3, 3, 3, 3, 3), (4, 4, 4, 4, 4), (3, 3, 3, 0, 3)]:
+        with pytest.raises(ValueError, match="parameter invariants violated"):
+            feasibility(DezaParams(*params))
 
 
 def test_dsrg_paley():
