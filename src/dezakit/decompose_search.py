@@ -14,8 +14,8 @@ from math import isqrt
 import numpy as np
 
 from .matrix_core import Digraph, SizeBoundError, identity
-from .verify import (DezaParams, DsrgParams, _equivalence_classes, verify_deza_digraph,
-                     verify_dsrg, verify_symmetric_design, verify_type2)
+from .verify import (DezaParams, DsrgParams, _equivalence_classes, check_invariants,
+                     verify_deza_digraph, verify_dsrg, verify_symmetric_design, verify_type2)
 
 SEARCH_MAX_ORDER = 10
 
@@ -156,6 +156,11 @@ def _search(n: int, k: int, t: int, allowed, limit: int | None):
     u -> v is an arc.  Rows are chosen in ascending lexicographic order,
     so solutions appear in ascending adjacency order deterministically.
     Every node, a leaf too, is judged once by one table of the cell rule.
+
+    Only the first row-0 candidate S0 = {n-k, ..., n-1} is searched.  Every
+    condition is invariant under relabelling, so a relabelling that fixes 0
+    and maps S0 onto S maps those hits one to one onto the hits with
+    N+(0) = S; each later candidate's block is their image, sorted.
     """
     _check_search(n, limit)
     # the mutual arcs form a t-regular graph, so n * t is even (handshake lemma)
@@ -263,12 +268,39 @@ def _search(n: int, k: int, t: int, allowed, limit: int | None):
             if limit is not None and solutions >= limit:
                 return
 
-    yield from backtrack()
+    row0 = candidates[0]
+    candidates[0] = row0[:1]
+    first = []  # rows of the hits with N+(0) = S0, in search order
+    for m in backtrack():
+        first.append(rows.copy())
+        yield m
+    if not first or (limit is not None and solutions >= limit):
+        return
+    block0 = ((np.array(first)[:, :, None] >> np.arange(n)) & 1).astype(np.uint8)
+
+    def members_first(mask: int) -> list[int]:
+        return sorted(range(1, n), key=lambda v: not mask >> v & 1)  # stable
+
+    order0 = members_first(row0[0])
+    for s in row0[1:]:
+        # pi fixes 0 and maps S0 onto S and the rest onto the rest in order;
+        # the image of M is M[src][:, src] with src = pi^-1
+        src = np.zeros(n, dtype=np.intp)
+        src[members_first(s)] = order0
+        block = block0[:, src[:, None], src]
+        # ascending row-major bytes, the order the search would find them in
+        packed = np.packbits(block.reshape(len(block), -1), axis=1)
+        for i in np.lexsort(packed.T[::-1]):
+            yield block[i].astype(np.int64)
+            solutions += 1
+            if limit is not None and solutions >= limit:
+                return
 
 
 def search_deza_digraphs(params: DezaParams, limit: int | None = None) -> list[Digraph]:
     """All loop-free digraphs with the given directed Deza parameters, in
     ascending adjacency order (up to limit).  Every hit re-verifies."""
+    check_invariants(params)
     n, k, b, a, t = params.as_tuple()
     out = []
     for m in _search(n, k, t, ({a, b}, {a, b}), limit):

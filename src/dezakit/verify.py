@@ -281,6 +281,14 @@ class Feasibility:
     reason: str | None = None
 
 
+def check_invariants(params: DezaParams) -> None:
+    """Raise ValueError unless 0 <= a <= b <= k < n and 0 <= t <= k."""
+    n, k, b, a, t = params.as_tuple()
+    # a loop-free digraph of order n has out-degree at most n - 1
+    if not (0 <= a <= b <= k < n) or not (0 <= t <= k):
+        raise ValueError(f"parameter invariants violated for {params}")
+
+
 def feasibility(params: DezaParams) -> Feasibility:
     """Arithmetic feasibility of a directed Deza parameter tuple.
 
@@ -288,10 +296,8 @@ def feasibility(params: DezaParams) -> Feasibility:
     integrality, nonnegativity, the forced total n - 1, and the strict
     inequality a(n-1) < k^2 - t < b(n-1) when both counts are nonzero.
     """
+    check_invariants(params)
     n, k, b, a, t = params.as_tuple()
-    # a loop-free digraph of order n has out-degree at most n - 1
-    if not (0 <= a <= b <= k < n) or not (0 <= t <= k):
-        raise ValueError(f"parameter invariants violated for {params}")
     af, bf = _closed_form_counts(n, k, b, a, t)
     if af.denominator != 1 or bf.denominator != 1:
         return Feasibility(af, bf, False, "partner counts not integral")

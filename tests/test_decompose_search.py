@@ -1,4 +1,6 @@
+import collections
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from dezakit.decompose_search import (_quotient_certificate, _search, canonical_
                                       dsrg_spectral_feasible,
                                       search_deza_digraphs, search_dsrg)
 from dezakit.matrix_core import Digraph, SizeBoundError, identity, kronecker, ones
-from dezakit.verify import DezaParams, verify_dsrg
+from dezakit.verify import DezaParams, verify_deza_digraph, verify_dsrg
 
 def adjacency_tuple(d):
     return tuple(int(x) for x in d.adjacency.reshape(-1))
@@ -47,6 +49,62 @@ def test_b_eq_t_of_relabeled_composite(flat_dsrg):
     shuffled = Digraph(composite.adjacency[np.ix_(perm, perm)])
     dec = decompose_b_eq_t(shuffled)
     assert canonical_form(dec.quotient) == canonical_form(flat_dsrg)
+
+
+# every class of order <= 6 with b = t > a, keyed by the tuple it verifies as.
+# These decompose as K_g[empty of order n2]: tuple -> (g, n2)
+B_EQ_T_LEXICOGRAPHIC = {(4, 2, 2, 0, 2): (2, 2), (6, 3, 3, 0, 3): (2, 3), (6, 4, 4, 2, 4): (3, 2)}
+# These decompose_b_eq_t rejects: tuple -> {canonical form, row by row:
+# the DSRG tuple the class verifies as, or None if it is not a DSRG}
+B_EQ_T_REJECTED = {
+    (6, 2, 1, 0, 1): {"000101 000101 010010 010010 101000 101000": (6, 2, 0, 1, 1),
+                      "000101 000101 010010 011000 101000 100010": None},
+    (6, 3, 2, 1, 2): {"001011 001110 010110 110001 101001 110100": (6, 3, 1, 2, 2)},
+}
+
+
+def _b_eq_t_census(max_order):
+    """Verified tuple -> {canonical form: first hit} over every feasible
+    tuple with b = t > a up to max_order, keeping the hits that verify
+    with b = t > a (the others verify as a = b tuples)."""
+    found = {}
+    for n in range(2, max_order + 1):
+        for k in range(n):
+            for b in range(1, k + 1):
+                for a in range(b):
+                    params = DezaParams(n, k, b, a, b)
+                    try:
+                        if not dz.feasibility(params).feasible:
+                            continue
+                    except ValueError:
+                        continue
+                    for d in search_deza_digraphs(params):
+                        p = verify_deza_digraph(d).params
+                        if p.b == p.t > p.a:
+                            found.setdefault(p.as_tuple(), {}).setdefault(canonical_form(d), d)
+    return found
+
+
+def test_b_eq_t_census_to_order_six():
+    """The b = t classes to order 6 by canonical form: three are
+    lexicographic products, which decompose_b_eq_t recovers, and three
+    are not, whose b-count relation is not an equivalence."""
+    found = _b_eq_t_census(6)
+    assert found.keys() == B_EQ_T_LEXICOGRAPHIC.keys() | B_EQ_T_REJECTED.keys()
+    for params, (g, n2) in B_EQ_T_LEXICOGRAPHIC.items():
+        composite = dz.lex_product(dz.complete_digraph(g), dz.empty_digraph(n2))
+        assert list(found[params]) == [canonical_form(composite)], params
+        assert decompose_b_eq_t(found[params][canonical_form(composite)]).class_size == n2
+    for params, expected in B_EQ_T_REJECTED.items():
+        n = params[0]
+        rows = {" ".join("".join(map(str, key[i * n:(i + 1) * n])) for i in range(n)): d
+                for key, d in found[params].items()}
+        assert rows.keys() == expected.keys(), params
+        for key, d in rows.items():
+            with pytest.raises(ValueError, match="the b-count relation is not an equivalence"):
+                decompose_b_eq_t(d)
+            report = verify_dsrg(d)
+            assert (report.params.as_tuple() if report.ok else None) == expected[key], key
 
 
 def test_b_eq_t_rejects_wrong_parameters(deza_8_3):
@@ -238,6 +296,36 @@ def test_search_matches_scan_per_arc_class(regular_scan):
                 hits += len(found)
                 empty += not found
     assert hits > 0 and empty > 0
+
+
+@pytest.mark.parametrize("params,count", [((7, 3, 2, 1, 0), 240), ((6, 2, 1, 0, 1), 480),
+                                          ((8, 3, 3, 1, 0), 1680)])
+def test_search_relabels_the_first_row_zero_block(params, count):
+    """_search finds the hits with N+(0) = {n-k, ..., n-1} and relabels them
+    for every other row 0.  The hits stay strictly ascending, every row 0
+    occurs and equally often, and a limit at the end of the searched block
+    cuts the same list."""
+    n, k, b, a, t = params
+    allowed = ({a, b}, {a, b})
+    hits = [m.tolist() for m in _search(n, k, t, allowed, None)]
+    assert len(hits) == count
+    assert all(x < y for x, y in zip(hits, hits[1:]))
+    row0 = collections.Counter(tuple(m[0]) for m in hits)
+    assert len(row0) == math.comb(n - 1, k)
+    assert set(row0.values()) == {count // len(row0)}
+    assert hits[0][0] == [0] * (n - k) + [1] * k
+    first = row0[tuple(hits[0][0])]
+    for j in (first - 1, first, first + 1):
+        assert [m.tolist() for m in _search(n, k, t, allowed, j)] == hits[:j], j
+
+
+@pytest.mark.parametrize("params", [(6, 2, 0, 1, 1), (4, 1, 0, 1, 0), (3, -1, 0, 0, -2),
+                                    (4, 2, -1, -3, 2), (0, 0, 0, 0, 0)])
+def test_search_rejects_the_tuples_feasibility_rejects(params):
+    # a > b, a negative k and t, a negative a and b, and k = n = 0
+    for call in (dz.feasibility, search_deza_digraphs):
+        with pytest.raises(ValueError, match="parameter invariants violated"):
+            call(DezaParams(*params))
 
 
 def test_search_prunes_odd_handshake():

@@ -383,6 +383,16 @@ def test_cli_search_canonical_dedup(capsys):
     assert len(captured.out.strip().splitlines()) == 1
 
 
+def test_cli_search_rejects_broken_invariants(capsys):
+    # a > b, a negative k and t, a negative a and b, and k = n = 0: one
+    # line on stderr and exit 2, as feasibility rejects them
+    for params in ("6,2,0,1,1", "4,1,0,1,0", "3,-1,0,0,-2", "4,2,-1,-3,2", "0,0,0,0,0"):
+        assert run_cli("search", "--params", params) == 2, params
+        err = capsys.readouterr().err
+        assert err.startswith("error: parameter invariants violated for DezaParams(")
+        assert err.count("\n") == 1 and "Traceback" not in err, err
+
+
 def test_cli_size_bound_exit():
     assert run_cli("search", "--params", "12,2,1,0,0") == 3
 
@@ -615,6 +625,8 @@ def fuzz_dir(tmp_path_factory):
 
 @settings(max_examples=200)
 @given(argv=cli_argv())
+@example(argv=["search", "--params", "6,2,0,1,1"])
+@example(argv=["search", "--params", "3,-1,0,0,-2"])
 def test_cli_exit_code_contract(fuzz_dir, argv):
     out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
     err = io.StringIO()
