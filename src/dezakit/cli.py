@@ -86,7 +86,7 @@ def _cmd_construct(args) -> int:
             raise ValueError(f"{fam} needs --order or --hadamard")
         if fam == "twin":
             pair = construct.twin_deza(h)
-            ra, rb = construct.siamese_reflexive(pair, h)
+            ra, rb = construct.siamese_reflexive(pair)
         else:
             pair, (ra, rb) = construct.twin_directed(h)
         base = args.out

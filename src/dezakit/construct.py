@@ -133,14 +133,12 @@ def twin_deza(h: HadamardMatrix) -> TwinPair:
     return _twin_pair(h, 1)
 
 
-def siamese_reflexive(pair: TwinPair, h: HadamardMatrix) -> tuple[Digraph, Digraph]:
-    """Add the shared block-diagonal cliques I x C_1 to each twin part,
-    producing two reflexive graphs."""
-    if not np.array_equal(pair.hadamard, h.matrix):
-        raise ValueError("twin pair was not produced from this Hadamard matrix")
-    n = h.order
-    c1 = np.outer(h.matrix[0], h.matrix[0]).astype(np.int64)
-    shared = kronecker(identity(pair.signed.n // n), c1)
+def siamese_reflexive(pair: TwinPair) -> tuple[Digraph, Digraph]:
+    """Add the shared block-diagonal cliques I x C_1, C_1 from the pair's
+    own Hadamard matrix, to each twin part, producing two reflexive graphs."""
+    r0 = pair.hadamard[0]
+    c1 = np.outer(r0, r0).astype(np.int64)
+    shared = kronecker(identity(pair.signed.n // pair.block_order), c1)
     ra = Digraph(pair.positive_part.adjacency + shared, loops_allowed=True)
     rb = Digraph(pair.negative_part.adjacency + shared, loops_allowed=True)
     return ra, rb
@@ -162,7 +160,7 @@ def twin_directed(h: HadamardMatrix) -> tuple[TwinPair, tuple[Digraph, Digraph]]
     are not a DDD partition.
     """
     pair = _twin_pair(h, -1)
-    return pair, siamese_reflexive(pair, h)
+    return pair, siamese_reflexive(pair)
 
 
 def quadratic_residue_matrix(field: FiniteField) -> np.ndarray:

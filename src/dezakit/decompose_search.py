@@ -130,24 +130,20 @@ def decompose_type2_b_eq_k(d: Digraph) -> Decomposition:
 
 def _row_candidates(n: int, k: int, forbidden_bit: int) -> list[int]:
     """All k-subsets of columns avoiding the diagonal, as bitmasks, in
-    ascending lexicographic order of the 0/1 row vector."""
+    ascending lexicographic order of the 0/1 row vector, the reverse of combination order."""
     cols = [c for c in range(n) if c != forbidden_bit]
-    masks = []
-    for combo in itertools.combinations(cols, k):
-        masks.append(sum(1 << c for c in combo))
-    # row vector (b_0, ..., b_{n-1}) read left to right; later columns first
-    masks.sort(key=lambda mask: tuple((mask >> c) & 1 for c in range(n)))
-    return masks
+    combos = reversed(list(itertools.combinations(cols, k)))
+    return [sum(1 << c for c in combo) for combo in combos]
 
 
-def _check_search(n: int, limit: int | None):
+def _check_search(n: int, limit: int | None = None):
     if limit is not None and limit < 0:
         raise ValueError(f"limit {limit} is negative")
     if n > SEARCH_MAX_ORDER:
         raise SizeBoundError(f"search is limited to order {SEARCH_MAX_ORDER}")
 
 
-def _search(n: int, k: int, t: int, allowed, limit: int | None):
+def _search(n: int, k: int, t: int, allowed):
     """Backtracking over loop-free k-regular 0/1 matrices of order n with
     constant mutual count t and two-path counts constrained per arc class.
 
@@ -161,12 +157,12 @@ def _search(n: int, k: int, t: int, allowed, limit: int | None):
     condition is invariant under relabelling, so a relabelling that fixes 0
     and maps S0 onto S maps those hits one to one onto the hits with
     N+(0) = S; each later candidate's block is their image, sorted.
+
+    A lazy generator: callers take the first hits with itertools.islice.
     """
-    _check_search(n, limit)
     # the mutual arcs form a t-regular graph, so n * t is even (handshake lemma)
     if k > n - 1 or t > k or n * t % 2:
         return
-    solutions = 0
     rows: list[int] = []
     colmask = [0] * n  # bit w set iff row w (already placed) has a 1 in column v
     candidates = [_row_candidates(n, k, r) for r in range(n)]
@@ -240,15 +236,11 @@ def _search(n: int, k: int, t: int, allowed, limit: int | None):
         return forbid, require
 
     def backtrack():
-        nonlocal solutions
-        if limit is not None and solutions >= limit:
-            return
         r = len(rows)
         masks = prune(r)
         if masks is None:
             return
         if r == n:
-            solutions += 1
             yield (np.array(rows)[:, None] >> np.arange(n)) & 1
             return
         forbid, require = masks
@@ -265,8 +257,6 @@ def _search(n: int, k: int, t: int, allowed, limit: int | None):
                 if (mask >> v) & 1:
                     colmask[v] &= ~rbit
             rows.pop()
-            if limit is not None and solutions >= limit:
-                return
 
     row0 = candidates[0]
     candidates[0] = row0[:1]
@@ -274,7 +264,7 @@ def _search(n: int, k: int, t: int, allowed, limit: int | None):
     for m in backtrack():
         first.append(rows.copy())
         yield m
-    if not first or (limit is not None and solutions >= limit):
+    if not first:
         return
     block0 = ((np.array(first)[:, :, None] >> np.arange(n)) & 1).astype(np.uint8)
 
@@ -292,9 +282,17 @@ def _search(n: int, k: int, t: int, allowed, limit: int | None):
         packed = np.packbits(block.reshape(len(block), -1), axis=1)
         for i in np.lexsort(packed.T[::-1]):
             yield block[i].astype(np.int64)
-            solutions += 1
-            if limit is not None and solutions >= limit:
-                return
+
+
+def _reverified(hits, verifier, params, accepted):
+    """Each hit as a Digraph, which the verifier must accept with a tuple in accepted."""
+    for m in hits:
+        d = Digraph(m)
+        report = verifier(d)
+        if not report.ok or report.params.as_tuple() not in accepted:
+            raise RuntimeError(f"search hit does not re-verify as {params}: "
+                               f"{report.witness or report.params}")
+        yield d
 
 
 def search_deza_digraphs(params: DezaParams, limit: int | None = None) -> list[Digraph]:
@@ -302,16 +300,10 @@ def search_deza_digraphs(params: DezaParams, limit: int | None = None) -> list[D
     ascending adjacency order (up to limit).  Every hit re-verifies."""
     check_invariants(params)
     n, k, b, a, t = params.as_tuple()
-    out = []
-    for m in _search(n, k, t, ({a, b}, {a, b}), limit):
-        d = Digraph(m)
-        report = verify_deza_digraph(d)
-        if not report.ok or report.params.as_tuple() not in {
-                (n, k, b, a, t), (n, k, b, b, t), (n, k, a, a, t)}:
-            raise RuntimeError(f"search hit does not re-verify as {params}: "
-                               f"{report.witness or report.params}")
-        out.append(d)
-    return out
+    _check_search(n, limit)
+    hits = itertools.islice(_search(n, k, t, ({a, b}, {a, b})), limit)
+    return list(_reverified(hits, verify_deza_digraph, params,
+                            {(n, k, b, a, t), (n, k, b, b, t), (n, k, a, a, t)}))
 
 
 def dsrg_spectral_feasible(n: int, k: int, lam: int, mu: int, t: int) -> bool:
@@ -346,15 +338,14 @@ def dsrg_spectral_feasible(n: int, k: int, lam: int, mu: int, t: int) -> bool:
     return 0 <= mult <= n - 1
 
 
-def search_dsrg(n_max: int, require_lambda_eq_mu: bool = False,
-                limit_per_params: int | None = None) -> list[tuple[DsrgParams, Digraph]]:
+def search_dsrg(n_max: int, require_lambda_eq_mu: bool = False) -> list[tuple[DsrgParams, Digraph]]:
     """Enumerate DSRGs with t < k up to order n_max by backtracking.
 
     Parameter tuples are pre-filtered by the forced row-sum identity
     lam*k + mu*(n-1-k) = k^2 - t; every emitted digraph passes
     verify_dsrg.  Deterministic order: by (n, k, t, lam), then by
     adjacency."""
-    _check_search(n_max, limit_per_params)
+    _check_search(n_max)
     found = []
     for n in range(2, n_max + 1):
         for k in range(1, n - 1):
@@ -371,15 +362,10 @@ def search_dsrg(n_max: int, require_lambda_eq_mu: bool = False,
                         continue
                     if not dsrg_spectral_feasible(n, k, lam, mu, t):
                         continue
-                    for m in _search(n, k, t, ({mu}, {lam}), limit_per_params):
-                        d = Digraph(m)
-                        report = verify_dsrg(d)
-                        params = report.params
-                        if not report.ok or params.as_tuple() != (n, k, lam, mu, t):
-                            raise RuntimeError(
-                                f"search hit does not re-verify as DSRG {(n, k, lam, mu, t)}: "
-                                f"{report.witness or params}")
-                        found.append((params, d))
+                    params = DsrgParams(n, k, lam, mu, t)
+                    hits = _search(n, k, t, ({mu}, {lam}))
+                    found += [(params, d) for d in _reverified(
+                        hits, verify_dsrg, params, {params.as_tuple()})]
     return found
 
 

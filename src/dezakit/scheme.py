@@ -62,11 +62,9 @@ def verify_scheme(matrices) -> AssociationScheme:
         raise SchemeError(1, "A_0 is not the identity")
     if not np.array_equal(sum(mats), ones(n)):
         raise SchemeError(2, "relations do not sum to the all-ones matrix")
-    transpose_of = []
     for i, m in enumerate(mats):
-        for j, other in enumerate(mats):
+        for other in mats:
             if np.array_equal(m.T, other):
-                transpose_of.append(j)
                 break
         else:
             raise SchemeError(3, f"transpose of relation {i} is not a relation")
@@ -76,22 +74,21 @@ def verify_scheme(matrices) -> AssociationScheme:
             raise SchemeError(2, f"relation {i} is empty")
     reps = [tuple(int(c) for c in np.argwhere(m == 1)[0]) for m in mats]
     p = np.zeros((d + 1, d + 1, d + 1), dtype=np.int64)
+    prod = [[exact_matmul(a, b) for b in mats] for a in mats]
     for i in range(d + 1):
         for j in range(d + 1):
-            prod = exact_matmul(mats[i], mats[j])
             combo = np.zeros((n, n), dtype=np.int64)
             for k in range(d + 1):
                 x, y = reps[k]
-                p[i, j, k] = prod[x, y]
+                p[i, j, k] = prod[i][j][x, y]
                 combo += p[i, j, k] * mats[k]
-            if not np.array_equal(prod, combo):
+            if not np.array_equal(prod[i][j], combo):
                 raise SchemeError(
                     4, f"A_{i} A_{j} is not a combination of the relations "
                        f"(coefficients read at representatives disagree elsewhere)")
     for i in range(1, d + 1):
         for j in range(1, d + 1):
-            if not np.array_equal(exact_matmul(mats[i], mats[j]),
-                                  exact_matmul(mats[j], mats[i])):
+            if not np.array_equal(prod[i][j], prod[j][i]):
                 raise SchemeError(5, f"A_{i} and A_{j} do not commute")
     froz = []
     for m in mats:

@@ -87,6 +87,19 @@ def lambda_mu_catalogue_8():
     return dz.search_dsrg(8, require_lambda_eq_mu=True)
 
 
+@pytest.fixture(scope="session")
+def lambda_mu_classes_8(lambda_mu_catalogue_8):
+    """One (params, digraph) per isomorphism class of lambda_mu_catalogue_8:
+    the canonical-form dedup of the hits whose row 0 has its ones in the
+    last k columns.  Any vertex relabels to 0 and its out-neighbours to
+    those columns, so that block holds a member of every class."""
+    reps = {}
+    for params, d in lambda_mu_catalogue_8:
+        if d.adjacency[0].tolist() == [0] * (params.n - params.k) + [1] * params.k:
+            reps.setdefault(dz.canonical_form(d), (params, d))
+    return list(reps.values())
+
+
 def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Triple-loop integer product, the independent oracle for exact_matmul."""
     n, mid = a.shape

@@ -62,7 +62,7 @@ def test_criterion_03_twin_family():
     for n in (2, 4, 8):
         h = sylvester(n.bit_length() - 1)
         pair = dz.twin_deza(h)
-        ra, rb = dz.siamese_reflexive(pair, h)
+        ra, rb = dz.siamese_reflexive(pair)
         tw = ((2 * n - 1) * n, (n - 1) * n, n * (n - 1) // 2, n * (n - 2) // 2)
         si = ((2 * n - 1) * n, n * n, n * (n + 1) // 2, n * n // 2)
         for part in (pair.positive_part, pair.negative_part):
@@ -202,7 +202,15 @@ def test_criterion_06_tournaments_and_fusion():
     assert report(6, ok, "doubly regular tournaments: direct, scheme, and fusion verdicts agree")
 
 
-def test_criterion_07_lex_condition_agreement(dsrg_catalogue_7, lambda_mu_catalogue_8):
+def relabellings(d, rng, count=4):
+    """count copies of d under seeded random relabellings."""
+    for _ in range(count):
+        perm = rng.permutation(d.n)
+        yield Digraph(d.adjacency[np.ix_(perm, perm)])
+
+
+def test_criterion_07_lex_condition_agreement(dsrg_catalogue_7, lambda_mu_catalogue_8,
+                                              lambda_mu_classes_8):
     by_params = {}
     for p, d in dsrg_catalogue_7:
         by_params.setdefault(p.as_tuple(), d)
@@ -234,25 +242,27 @@ def test_criterion_07_lex_condition_agreement(dsrg_catalogue_7, lambda_mu_catalo
         positives += actual
         negatives += not actual
     ok &= positives >= 5 and negatives >= 5
-    # parameter law for every lam = mu hit crossed with empty patterns
-    for params, d in lambda_mu_catalogue_8:
-        for n2 in (2, 3):
-            got = verify_deza_digraph(dz.lex_product(d, dz.empty_digraph(n2))).params
-            expected = (params.n * n2, params.k * n2, params.t * n2,
-                        params.lam * n2, params.t * n2)
-            ok &= got.as_tuple() == expected
-            if not ok:
-                break
-        if not ok:
-            break
+    # parameter law for each lam = mu class crossed with empty patterns, on
+    # its representative and on relabelled copies certified by canonical form
+    rng = np.random.default_rng(7)
+    for params, d in lambda_mu_classes_8:
+        key = canonical_form(d)
+        for copy in (d, *relabellings(d, rng)):
+            ok &= canonical_form(copy) == key
+            for n2 in (2, 3):
+                got = verify_deza_digraph(dz.lex_product(copy, dz.empty_digraph(n2))).params
+                expected = (params.n * n2, params.k * n2, params.t * n2,
+                            params.lam * n2, params.t * n2)
+                ok &= got.as_tuple() == expected
     assert report(7, ok, f"product condition agreement ({positives} positive, "
                          f"{negatives} negative) and the composition parameter law")
 
 
-def test_criterion_08_decomposition_round_trips(lambda_mu_catalogue_8):
+def test_criterion_08_decomposition_round_trips(lambda_mu_classes_8):
     ok = True
     rng = np.random.default_rng(2024)
-    for idx, (params, d) in enumerate(lambda_mu_catalogue_8):
+    for params, d in lambda_mu_classes_8:
+        key = canonical_form(d)
         for n2 in (2, 3):
             composite = dz.lex_product(d, dz.empty_digraph(n2))
             comp_params = verify_deza_digraph(composite).params
@@ -265,16 +275,11 @@ def test_criterion_08_decomposition_round_trips(lambda_mu_catalogue_8):
             relabeled = composite.adjacency[np.ix_(perm, perm)]
             ok &= np.array_equal(relabeled,
                                  kronecker(dec.quotient.adjacency, ones(n2)))
-        if not ok:
-            break
-        if idx % 500 == 0:
-            # certified isomorphism for a shuffled copy: canonical forms of
+            # certified isomorphism for shuffled copies: canonical forms of
             # the recovered quotient and the source agree
-            composite = dz.lex_product(d, dz.empty_digraph(2))
-            perm = rng.permutation(composite.n)
-            shuffled = Digraph(composite.adjacency[np.ix_(perm, perm)])
-            dec = decompose_b_eq_t(shuffled)
-            ok &= canonical_form(dec.quotient) == canonical_form(d)
+            for shuffled in relabellings(composite, rng):
+                dec = decompose_b_eq_t(shuffled)
+                ok &= dec.class_size == n2 and canonical_form(dec.quotient) == key
     # negative direction: b != t is rejected
     try:
         decompose_b_eq_t(Digraph(DEZA_8_3_3_1_0))
@@ -298,7 +303,7 @@ def test_criterion_08_decomposition_round_trips(lambda_mu_catalogue_8):
         ok = False
     except ValueError:
         pass
-    assert report(8, ok, "both classification theorems round-trip on every catalogue entry "
+    assert report(8, ok, "both classification theorems round-trip on every catalogue class "
                          "(shuffled copies certified by canonical forms) and reject b mismatches")
 
 
@@ -362,7 +367,7 @@ def test_criterion_10_reconstruction_invariant(lambda_mu_catalogue_8):
         ok &= np.array_equal(lhs, m.T @ m)
     # undirected members: the path-count identity with the diagonal of M^2
     tw = dz.twin_deza(h4)
-    ra, _ = dz.siamese_reflexive(tw, h4)
+    ra, _ = dz.siamese_reflexive(tw)
     for d, reflexive in ((tw.positive_part, False), (ra, True),
                          (field_type2(f3, f3.zero), False)):
         rep = verify_deza_graph(d, reflexive=reflexive)

@@ -146,7 +146,7 @@ def test_twin_circulant_rows_share_one_column(n):
 def test_siamese_reflexive_parameters(n, params):
     h = sylvester(n.bit_length() - 1)
     pair = twin_deza(h)
-    ra, rb = siamese_reflexive(pair, h)
+    ra, rb = siamese_reflexive(pair)
     for part in (ra, rb):
         rep = verify_deza_graph(part, reflexive=True)
         assert rep.params.as_tuple() == params
@@ -154,15 +154,9 @@ def test_siamese_reflexive_parameters(n, params):
 
 def test_siamese_shares_exactly_the_diagonal_cliques(normalized_h4):
     pair = twin_deza(normalized_h4)
-    ra, rb = siamese_reflexive(pair, normalized_h4)
+    ra, rb = siamese_reflexive(pair)
     shared = ra.adjacency & rb.adjacency
     assert np.array_equal(shared, kronecker(identity(7), ones(4)))
-
-
-def test_siamese_rejects_mismatched_hadamard(normalized_h4):
-    pair = twin_deza(normalized_h4)
-    with pytest.raises(ValueError):
-        siamese_reflexive(pair, sylvester(2))
 
 
 def twin_block_oracle(h, sign):

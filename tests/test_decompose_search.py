@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import itertools
 import math
 
@@ -289,10 +290,11 @@ def test_search_matches_scan_per_arc_class(regular_scan):
                 pairs += [({0, 2}, {1}), ({1}, {0, 2})]
             for allowed in pairs:
                 expected = _scan_hits(regular_scan, n, k, t, allowed)
-                found = [m.tolist() for m in _search(n, k, t, allowed, None)]
+                found = [m.tolist() for m in _search(n, k, t, allowed)]
                 assert found == expected, (n, k, t, allowed)
                 j = int(rng.integers(len(found) + 1))
-                assert [m.tolist() for m in _search(n, k, t, allowed, j)] == found[:j]
+                head = itertools.islice(_search(n, k, t, allowed), j)
+                assert [m.tolist() for m in head] == found[:j]
                 hits += len(found)
                 empty += not found
     assert hits > 0 and empty > 0
@@ -307,7 +309,7 @@ def test_search_relabels_the_first_row_zero_block(params, count):
     cuts the same list."""
     n, k, b, a, t = params
     allowed = ({a, b}, {a, b})
-    hits = [m.tolist() for m in _search(n, k, t, allowed, None)]
+    hits = [m.tolist() for m in _search(n, k, t, allowed)]
     assert len(hits) == count
     assert all(x < y for x, y in zip(hits, hits[1:]))
     row0 = collections.Counter(tuple(m[0]) for m in hits)
@@ -316,7 +318,28 @@ def test_search_relabels_the_first_row_zero_block(params, count):
     assert hits[0][0] == [0] * (n - k) + [1] * k
     first = row0[tuple(hits[0][0])]
     for j in (first - 1, first, first + 1):
-        assert [m.tolist() for m in _search(n, k, t, allowed, j)] == hits[:j], j
+        head = itertools.islice(_search(n, k, t, allowed), j)
+        assert [m.tolist() for m in head] == hits[:j], j
+
+
+def test_search_sweep_to_order_seven_is_pinned():
+    """Every hit of _search for n = 2..7, k < n, t <= k, a <= b <= k and
+    the value sets ({a,b},{a,b}), ({a},{b}), ({b},{a}), hashed in yield
+    order.  The scan oracles stop at order 6; this pins order 7 too, and
+    the order of the hits, against a digest recorded from the search."""
+    digest = hashlib.sha256()
+    count = 0
+    for n in range(2, 8):
+        for k in range(n):
+            for t, b in itertools.product(range(k + 1), repeat=2):
+                for a in range(b + 1):
+                    for allowed in (({a, b}, {a, b}), ({a}, {b}), ({b}, {a})):
+                        for m in _search(n, k, t, allowed):
+                            digest.update(np.asarray(m, dtype=np.int64).tobytes())
+                            count += 1
+    assert count == 3384
+    assert digest.hexdigest() == \
+        "29a026d3c9636e4cb55e946789984780fd220c37b4cbcf77039135a214d0ccd9"
 
 
 @pytest.mark.parametrize("params", [(6, 2, 0, 1, 1), (4, 1, 0, 1, 0), (3, -1, 0, 0, -2),
@@ -333,7 +356,7 @@ def test_search_prunes_odd_handshake():
     # feasibility() admits (7,4,3,2,3) all the same
     assert dz.feasibility(DezaParams(7, 4, 3, 2, 3)).feasible
     assert search_deza_digraphs(DezaParams(7, 4, 3, 2, 3)) == []
-    assert list(_search(5, 2, 1, ({0}, {1}), None)) == []
+    assert list(_search(5, 2, 1, ({0}, {1}))) == []
 
 
 def test_search_checks_arguments_before_parity():
@@ -349,15 +372,6 @@ def test_search_limit():
     # a negative limit is an error, not a search that finds nothing
     with pytest.raises(ValueError, match="limit -1 is negative"):
         search_deza_digraphs(DezaParams(5, 1, 1, 0, 0), limit=-1)
-    with pytest.raises(ValueError, match="limit -1 is negative"):
-        search_dsrg(4, limit_per_params=-1)
-
-
-def test_search_dsrg_negative_limit_at_every_order():
-    # order 2 has no parameter tuple to search, so only an eager check raises
-    for n_max in (2, 3):
-        with pytest.raises(ValueError, match="limit -1 is negative"):
-            search_dsrg(n_max, limit_per_params=-1)
 
 
 def test_search_order_bound():
@@ -426,8 +440,9 @@ def test_canonical_form_size_bound():
         canonical_form(dz.empty_digraph(11))
 
 
-def test_lambda_mu_catalogue(lambda_mu_catalogue_8):
+def test_lambda_mu_catalogue(lambda_mu_catalogue_8, lambda_mu_classes_8):
     tuples = {p.as_tuple() for p, _ in lambda_mu_catalogue_8}
     assert tuples == {(8, 3, 1, 1, 2)}
     # single isomorphism class: 8!/|Aut| labeled copies
     assert len(lambda_mu_catalogue_8) == 5040
+    assert len(lambda_mu_classes_8) == 1

@@ -28,7 +28,7 @@ def _reject(d):
 @pytest.mark.parametrize("verifier, search", [
     ("verify_deza_digraph",
      lambda: decompose_search.search_deza_digraphs(DezaParams(5, 1, 1, 0, 0), limit=1)),
-    ("verify_dsrg", lambda: decompose_search.search_dsrg(6, limit_per_params=1)),
+    ("verify_dsrg", lambda: decompose_search.search_dsrg(6)),
 ])
 def test_search_hits_that_fail_verification_raise(monkeypatch, verifier, search):
     monkeypatch.setattr(decompose_search, verifier, _reject)
