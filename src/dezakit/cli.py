@@ -9,6 +9,7 @@ written), 2 usage error, 3 size bound exceeded.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from dataclasses import replace
 from functools import cache
@@ -19,7 +20,7 @@ import numpy as np
 from . import construct, decompose_search, fileio, scheme, verify
 from .finite_field import odd_prime_power_field
 from .hadamard import HadamardMatrix, is_normalized, normalize, paley_skew, sylvester
-from .matrix_core import Digraph, Products, SizeBoundError
+from .matrix_core import Digraph, SizeBoundError
 from .verify import DezaParams
 
 EXIT_OK = 0
@@ -116,7 +117,7 @@ def _cmd_construct(args) -> int:
 _CLASSIFIERS = ("deza", "deza2", "dsrg", "ddd", "deza-graph", "reflexive", "design")
 
 
-def _run_classifier(name: str, d: Digraph, products: Products, partition,
+def _run_classifier(name: str, d: Digraph, partition,
                     children_prefix: str | None = None) -> dict:
     """One classifier, as a JSON-ready result dict; exceptions become
     failed results with the message as witness.  A deza hit with a
@@ -124,30 +125,30 @@ def _run_classifier(name: str, d: Digraph, products: Products, partition,
     report and references them."""
     try:
         if name == "deza":
-            rep = verify.verify_deza_digraph(d, products=products)
+            rep = verify.verify_deza_digraph(d)
         elif name == "deza2":
-            rep = verify.verify_type2(d, products=products)
+            rep = verify.verify_type2(d)
         elif name == "dsrg":
-            rep = verify.verify_dsrg(d, products=products)
+            rep = verify.verify_dsrg(d)
         elif name == "deza-graph":
-            rep = verify.verify_deza_graph(d, reflexive=False, products=products)
+            rep = verify.verify_deza_graph(d, reflexive=False)
         elif name == "reflexive":
             if np.array_equal(d.adjacency, d.adjacency.T):
-                rep = verify.verify_deza_graph(d, reflexive=True, products=products)
+                rep = verify.verify_deza_graph(d, reflexive=True)
             else:
-                rep = verify.verify_reflexive_directed_deza(d, products=products)
+                rep = verify.verify_reflexive_directed_deza(d)
         elif name == "design":
-            params = verify.verify_symmetric_design(d.adjacency, products=products)
+            params = verify.verify_symmetric_design(d)
             return {"classifier": name, "ok": True, "classification": "design",
                     "params": fileio.report_to_dict(params)}
         elif name == "ddd":
             classes = partition
             if classes is None:
-                classes = verify.discover_ddd_partition(d, products=products)
+                classes = verify.discover_ddd_partition(d)
             if classes is None:
                 return {"classifier": name, "ok": False,
                         "witness": "no partition given and discovery failed"}
-            rep = verify.verify_ddd(d, classes, products=products)
+            rep = verify.verify_ddd(d, classes)
             out = fileio.report_to_dict(rep)
             out.update({"classifier": name, "ok": rep.ok, "partition": classes})
             return out
@@ -182,10 +183,9 @@ def _read_partition(path: str) -> list[list[int]]:
 
 def _cmd_verify(args) -> int:
     d = fileio.read_digraph(args.file)
-    products = Products(d.adjacency)
     partition = _read_partition(args.partition) if args.partition else None
     names = [args.classify_as] if args.classify_as else list(_CLASSIFIERS)
-    results = [_run_classifier(name, d, products, partition, args.children_prefix)
+    results = [_run_classifier(name, d, partition, args.children_prefix)
                for name in names]
     document = {"file": str(args.file), "order": d.n, "results": results}
     if args.report:
@@ -249,15 +249,14 @@ def _parse_params(text: str) -> DezaParams:
 def _cmd_search(args) -> int:
     params = _parse_params(args.params)
     hits = decompose_search.search_deza_digraphs(params, limit=args.limit)
-    if args.canonical_dedup:
-        seen = set()
-        unique = []
-        for d in hits:
-            key = decompose_search.canonical_form(d)
-            if key not in seen:
-                seen.add(key)
-                unique.append(d)
-        hits = unique
+    if args.canonical_dedup and hits:
+        # the search yields the hits with hits[0]'s row 0 first, and every
+        # class has one there, so each class's first hit lies in that block
+        row0 = hits[0].adjacency[0]
+        unique: dict[bytes, Digraph] = {}
+        for d in itertools.takewhile(lambda h: np.array_equal(h.adjacency[0], row0), hits):
+            unique.setdefault(decompose_search.canonical_form(d), d)
+        hits = list(unique.values())
     for d in hits:
         sys.stdout.buffer.write(fileio.to_digraph6(d) + b"\n")
     print(f"{len(hits)} digraph(s) with parameters {params.as_tuple()}", file=sys.stderr)

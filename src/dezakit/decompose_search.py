@@ -115,12 +115,13 @@ def decompose_type2_b_eq_k(d: Digraph) -> Decomposition:
     if params.a == params.b:
         raise ValueError("a = b leaves the quotient relation trivial")
     quotient_m, class_map, n2 = _lex_quotient(d, report, "shared-neighbourhood")
-    design = verify_symmetric_design(quotient_m)
+    quotient = Digraph(quotient_m)
+    design = verify_symmetric_design(quotient)
     law = (params.n == design.n * n2 and params.k == design.k * n2
            and params.a == design.lam * n2)
     if not law:
         raise ValueError(f"parameter law fails: {params} vs design {design} with n2 = {n2}")
-    return Decomposition(Digraph(quotient_m), n2, class_map)
+    return Decomposition(quotient, n2, class_map)
 
 
 # ---------------------------------------------------------------------------

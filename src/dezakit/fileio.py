@@ -155,16 +155,6 @@ def to_dot(d: Digraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def export(d: Digraph, fmt: str) -> bytes:
-    if fmt == "matrix01":
-        return _matrix_text(d.adjacency)
-    if fmt == "digraph6":
-        return to_digraph6(d)
-    if fmt == "dot":
-        return to_dot(d).encode("ascii")
-    raise ValueError(f"unknown format {fmt!r}")
-
-
 def _jsonable(value):
     if isinstance(value, np.ndarray):
         return value.astype(np.int64).tolist()  # bools as 0/1, as int() gives

@@ -172,16 +172,16 @@ def block_assemble(grid) -> np.ndarray:
 
 
 class Products:
-    """The products of one matrix m that the verifiers read: square = m m,
-    gram = m m^t and cogram = m^t m, computed on first use and then
-    shared, so no reader may write to them.
+    """The products of one matrix m that the verifiers read: m m, m m^t
+    and m^t m, computed on first use and then shared, so no reader may
+    write to them.  Digraph.products is the one place that makes them.
 
     m and m^t are invariant under the same cyclic index shifts, so each
     product is block-circulant with the shift period h of m (n when m
     has none or n < _BLAS_MIN_ORDER).  period finds h once per matrix,
-    and no other code looks for it.  Each product is kept as its first
-    h rows, the h x n strip that exact_matmul computes from the first h
-    rows of its left operand; gram and cogram are their strips expanded."""
+    and no other code looks for it.  Each product is kept only as its
+    first h rows, the h x n strip that exact_matmul computes from the
+    first h rows of its left operand; block_circulant expands a strip."""
 
     def __init__(self, m: np.ndarray):
         self.m = m
@@ -194,8 +194,6 @@ class Products:
     square_strip = cached_property(lambda self: exact_matmul(self.m[:self.period], self.m))
     gram_strip = cached_property(lambda self: exact_matmul(self.m[:self.period], self.m.T))
     cogram_strip = cached_property(lambda self: exact_matmul(self.m.T[:self.period], self.m))
-    gram = cached_property(lambda self: block_circulant(self.gram_strip))
-    cogram = cached_property(lambda self: block_circulant(self.cogram_strip))
 
 
 def _frozen(rows) -> np.ndarray:
@@ -210,7 +208,10 @@ class Digraph:
     """A digraph carried by its 0/1 adjacency matrix.
 
     Loops (diagonal ones) are rejected unless loops_allowed is set; the
-    reflexive constructions are the only producers of loops.
+    reflexive constructions are the only producers of loops.  products
+    holds the strips of M^2, M M^t and M^t M that every verifier reads,
+    filled on first use and kept as long as the digraph; equality and
+    hashing ignore them.
     """
 
     adjacency: np.ndarray
@@ -227,6 +228,10 @@ class Digraph:
     @property
     def n(self) -> int:
         return self.adjacency.shape[0]
+
+    @cached_property
+    def products(self) -> Products:
+        return Products(self.adjacency)
 
     def arcs(self):
         for u, v in zip(*np.nonzero(self.adjacency)):

@@ -3,10 +3,13 @@ type-II directed Deza graphs, divisible design digraphs, (reflexive)
 Deza graphs, and symmetric designs, with exact parameter extraction.
 
 Every verifier is exact: parameters are read off integer matrices and
-all identities are checked entrywise.  A product invariant under the
-cyclic index shift by h is read from its first h rows (a Products
-strip): its diagonal entries there are s[i, i] for i < h, and every
-other entry of the product occurs n/h times as often as in the strip.
+all identities are checked entrywise.  Each reads M^2, M M^t and M^t M
+from d.products, which its Digraph fills on first use and keeps, so
+verifiers run on one digraph compute each product once.  A product
+invariant under the cyclic index shift by h is read from its first h
+rows (a Products strip): its diagonal entries there are s[i, i] for
+i < h, and every other entry of the product occurs n/h times as often
+as in the strip.
 A shift-invariant mismatch first occurs in row-major order in a row
 below h, so the witnesses name the pairs the dense product would.
 Definitional failures are
@@ -21,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .matrix_core import Digraph, Products, as_int_matrix, block_circulant
+from .matrix_core import Digraph, block_circulant
 
 NOT_MEMBER = "not_member"
 
@@ -108,13 +111,6 @@ class VerificationReport:
 
 def _fail(witness: str) -> VerificationReport:
     return VerificationReport(classification=NOT_MEMBER, witness=witness)
-
-
-def _products_of(m: np.ndarray, products: Products | None) -> Products:
-    """products, which must be of m itself and not of a copy, or new ones."""
-    if products is not None and products.m is not m:
-        raise ValueError("products were computed from a different matrix")
-    return products or Products(m)
 
 
 def _regularity(m: np.ndarray) -> tuple[int | None, str | None]:
@@ -233,7 +229,7 @@ def _fit_two_valued(s: np.ndarray, k: int, t: int, counts: str,
     )
 
 
-def verify_deza_digraph(d: Digraph, *, products: Products | None = None) -> VerificationReport:
+def verify_deza_digraph(d: Digraph) -> VerificationReport:
     """Fit directed Deza parameters (n, k, b, a, t) to a loop-free digraph.
 
     The adjacency M must be regular, the diagonal of M^2 (equivalently
@@ -242,14 +238,13 @@ def verify_deza_digraph(d: Digraph, *, products: Products | None = None) -> Veri
     graph and the a = b case as a DSRG.
     """
     m, n = d.adjacency, d.n
-    products = _products_of(m, products)
     # a Digraph made without loops_allowed was checked loop-free
     if d.loops_allowed and m.trace() != 0:
         raise ValueError("digraph has loops; use the reflexive verifier")
     k, witness = _regularity(m)
     if witness:
         return _fail(witness)
-    s = products.square_strip
+    s = d.products.square_strip
     diag = np.diagonal(s)
     t = int(diag[0])
     if not (diag == t).all():
@@ -308,16 +303,15 @@ def feasibility(params: DezaParams) -> Feasibility:
     return Feasibility(af, bf, True)
 
 
-def verify_dsrg(d: Digraph, *, products: Products | None = None) -> VerificationReport:
+def verify_dsrg(d: Digraph) -> VerificationReport:
     """Fit M^2 = tI + lam*M + mu*(J - I - M) exactly."""
     m, n = d.adjacency, d.n
-    products = _products_of(m, products)
     if d.loops_allowed and m.trace() != 0:
         raise ValueError("digraph has loops")
     k, witness = _regularity(m)
     if witness:
         return _fail(witness)
-    s = products.square_strip
+    s = d.products.square_strip
     t = int(s[0, 0])
     if not (np.diagonal(s) == t).all():
         return _fail(f"diag(M^2) not constant: {_value_multiset(s)}")
@@ -336,16 +330,15 @@ def verify_dsrg(d: Digraph, *, products: Products | None = None) -> Verification
     return VerificationReport(classification=tag, params=DsrgParams(n, k, lam, mu, t))
 
 
-def verify_type2(d: Digraph, *, products: Products | None = None) -> VerificationReport:
+def verify_type2(d: Digraph) -> VerificationReport:
     """Fit type-II parameters: M M^t = M^t M = aX + bY + kI with X + Y + I = J."""
     m, n = d.adjacency, d.n
-    products = _products_of(m, products)
     if d.loops_allowed and m.trace() != 0:
         raise ValueError("digraph has loops; use the reflexive verifier")
     k, witness = _regularity(m)
     if witness:
         return _fail(witness)
-    g, g2 = products.gram_strip, products.cogram_strip
+    g, g2 = d.products.gram_strip, d.products.cogram_strip
     if not np.array_equal(g, g2):
         u, v = np.argwhere(g != g2)[0]
         return _fail(f"M M^t != M^t M first at ({int(u)}, {int(v)}): "
@@ -375,7 +368,7 @@ def _check_partition(n: int, partition) -> tuple[np.ndarray, int, int]:
     return label, len(classes), size
 
 
-def verify_ddd(d: Digraph, partition, *, products: Products | None = None) -> VerificationReport:
+def verify_ddd(d: Digraph, partition) -> VerificationReport:
     """Fit divisible-design-digraph parameters for the given vertex classes.
 
     For distinct x, y the common dominated count (M M^t) and the common
@@ -385,10 +378,10 @@ def verify_ddd(d: Digraph, partition, *, products: Products | None = None) -> Ve
     reported lambda.
     """
     m, n = d.adjacency, d.n
-    products = _products_of(m, products)
     label, n_classes, size = _check_partition(n, partition)
     # read the first h rows when the period shift maps classes onto classes:
     # img[label[i]] = label[i + h] is well defined (equal sizes make it onto)
+    products = d.products
     h = products.period
     shifted = np.roll(label, -h)
     img = np.empty(n_classes, dtype=np.int64)
@@ -402,8 +395,9 @@ def verify_ddd(d: Digraph, partition, *, products: Products | None = None) -> Ve
     k, witness = _regularity(m)
     if witness:
         return _fail(witness)
-    gout, gin = ((products.gram_strip, products.cogram_strip) if h < n
-                 else (products.gram, products.cogram))
+    gout, gin = products.gram_strip, products.cogram_strip
+    if h == n:  # the whole products; block_circulant returns a square strip
+        gout, gin = block_circulant(gout), block_circulant(gin)
     across_mask = label[:h, None] != label[None, :]
     within_mask = ~across_mask
     np.fill_diagonal(within_mask, False)
@@ -430,8 +424,7 @@ def verify_ddd(d: Digraph, partition, *, products: Products | None = None) -> Ve
     )
 
 
-def discover_ddd_partition(d: Digraph, *,
-                           products: Products | None = None) -> list[list[int]] | None:
+def discover_ddd_partition(d: Digraph) -> list[list[int]] | None:
     """Try to recover a DDD partition from the common-neighbour counts.
 
     Groups pairs realizing the rarer of the two count values and keeps
@@ -439,11 +432,10 @@ def discover_ddd_partition(d: Digraph, *,
     that verifies.  Returns None when no partition is found.
     """
     m, n = d.adjacency, d.n
-    products = _products_of(m, products)
-    h = products.period
+    h = d.products.period
     if not ((m[:h] + m.T[:h]) <= 1).all():
         return None
-    g = products.gram_strip
+    g = d.products.gram_strip
     vals = _offdiag_values(g)
     if len(vals) > 2:
         return None
@@ -456,12 +448,12 @@ def discover_ddd_partition(d: Digraph, *,
             continue
         if len({len(c) for c in classes}) != 1:
             continue
-        if verify_ddd(d, classes, products=products).ok:
+        if verify_ddd(d, classes).ok:
             return classes
     # singleton fallback: any asymmetric regular digraph with constant
     # cross counts is a degenerate DDD on singleton classes
     singles = [[i] for i in range(n)]
-    return singles if verify_ddd(d, singles, products=products).ok else None
+    return singles if verify_ddd(d, singles).ok else None
 
 
 def _equivalence_classes(rel: np.ndarray) -> list[list[int]] | None:
@@ -484,12 +476,10 @@ def _equivalence_classes(rel: np.ndarray) -> list[list[int]] | None:
     return classes
 
 
-def verify_deza_graph(d: Digraph, reflexive: bool = False, *,
-                      products: Products | None = None) -> VerificationReport:
+def verify_deza_graph(d: Digraph, reflexive: bool = False) -> VerificationReport:
     """Fit undirected Deza parameters (n, k, b, a); reflexive inputs carry
     a loop at every vertex and count it in the degree."""
     m, n = d.adjacency, d.n
-    products = _products_of(m, products)
     if not np.array_equal(m, m.T):
         u, v = np.argwhere(m != m.T)[0]
         raise ValueError(f"adjacency not symmetric at ({int(u)}, {int(v)})")
@@ -501,7 +491,7 @@ def verify_deza_graph(d: Digraph, reflexive: bool = False, *,
     k, witness = _regularity(m)
     if witness:
         return _fail(witness)
-    s = products.square_strip
+    s = d.products.square_strip
     t_eff = int(s[0, 0])
     if not (np.diagonal(s) == t_eff).all():
         return _fail(f"diag(M^2) not constant: {_value_multiset(s)}")
@@ -554,8 +544,7 @@ def _summarize_statistic(name: str, s: np.ndarray, n: int, k: int,
     return StatisticSummary(name, diag_vals, tuple(vals), commute, two, params)
 
 
-def verify_reflexive_directed_deza(d: Digraph, *,
-                                   products: Products | None = None) -> ReflexiveReport:
+def verify_reflexive_directed_deza(d: Digraph) -> ReflexiveReport:
     """Evaluate a loops-everywhere digraph under both product statistics.
 
     The path-count statistic is M^2 (diagonal = mutual partners, loop
@@ -564,7 +553,6 @@ def verify_reflexive_directed_deza(d: Digraph, *,
     constant diagonal classifies the input; the report records which.
     """
     m, n = d.adjacency, d.n
-    products = _products_of(m, products)
     if not (np.diagonal(m) == 1).all():
         raise ValueError("reflexive verification requires a loop at every vertex")
     k, witness = _regularity(m)
@@ -572,6 +560,7 @@ def verify_reflexive_directed_deza(d: Digraph, *,
         empty = StatisticSummary("square", (), (), None, False, None)
         emptyg = StatisticSummary("gram", (), (), None, False, None)
         return ReflexiveReport(NOT_MEMBER, empty, emptyg, (), None, witness)
+    products = d.products
     square = _summarize_statistic("square", products.square_strip, n, k, None)
     commute = bool(np.array_equal(products.gram_strip, products.cogram_strip))
     gram = _summarize_statistic("gram", products.gram_strip, n, k, commute)
@@ -584,19 +573,16 @@ def verify_reflexive_directed_deza(d: Digraph, *,
                            "neither product statistic is two-valued with constant diagonal")
 
 
-def verify_symmetric_design(n_matrix: np.ndarray, *,
-                            products: Products | None = None) -> DesignParams:
-    """Check N N^t = N^t N = (k - lam) I + lam J and constant line sums."""
-    m = as_int_matrix(n_matrix)
-    products = _products_of(m, products)
-    if not ((m == 0) | (m == 1)).all():
-        raise ValueError("incidence entries must be 0 or 1")
-    n = m.shape[0]
+def verify_symmetric_design(incidence: Digraph | np.ndarray) -> DesignParams:
+    """Check N N^t = N^t N = (k - lam) I + lam J and constant line sums;
+    a 0/1 array is read as the Digraph with loops allowed."""
+    d = incidence if isinstance(incidence, Digraph) else Digraph(incidence, loops_allowed=True)
+    m, n = d.adjacency, d.n
     k, witness = _regularity(m)
     if witness:
         raise ValueError(f"line sums not constant: {witness}")
     lam = None
-    for g, name in ((products.gram_strip, "N N^t"), (products.cogram_strip, "N^t N")):
+    for g, name in ((d.products.gram_strip, "N N^t"), (d.products.cogram_strip, "N^t N")):
         if not (np.diagonal(g) == k).all():
             raise ValueError(f"Gram mismatch: diag({name}) != k")
         vals = _offdiag_values(g)

@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 import dezakit as dz
 from dezakit.cli import _CLASSIFIERS, main
 from dezakit.fileio import (MatrixParseError, _digraph6_order_bytes, _matrix_text,
-                            _scan_matrix, export, load_report, read_digraph,
+                            _scan_matrix, load_report, read_digraph,
                             read_matrix, to_digraph6, to_dot, write_matrix,
                             write_report)
 from dezakit.matrix_core import Digraph
@@ -219,16 +219,6 @@ def test_dot_output():
     assert out.startswith("digraph {")
 
 
-def test_export_matrix01_round_trip(tmp_path):
-    d = Digraph(DEZA_8_3_3_1_0)
-    payload = export(d, "matrix01")
-    path = tmp_path / "m.txt"
-    path.write_bytes(payload)
-    assert np.array_equal(read_matrix(path), DEZA_8_3_3_1_0)
-    with pytest.raises(ValueError):
-        export(d, "gml")
-
-
 def test_report_round_trip(tmp_path):
     doc = {"order": 8, "results": [{"classifier": "deza", "ok": True,
                                     "params": {"n": 8, "k": 3}}]}
@@ -381,6 +371,38 @@ def test_cli_search_canonical_dedup(capsys):
     assert run_cli("search", "--params", "5,1,1,0,0", "--canonical-dedup") == 0
     captured = capsys.readouterr()
     assert len(captured.out.strip().splitlines()) == 1
+
+
+def feasible_tuples(max_order: int):
+    """Every feasible (n, k, b, a, t) with n <= max_order."""
+    for n in range(1, max_order + 1):
+        for k in range(n):
+            for b in range(k + 1):
+                for a in range(b + 1):
+                    for t in range(k + 1):
+                        params = dz.DezaParams(n, k, b, a, t)
+                        try:
+                            if dz.feasibility(params).feasible:
+                                yield params
+                        except ValueError:
+                            continue
+
+
+def test_cli_canonical_dedup_prints_the_first_hit_of_every_class(capsys):
+    # the CLI reads canonical forms of the first row-0 block alone; the
+    # oracle deduplicates every labelled hit up to the limit
+    for params in feasible_tuples(6):
+        for limit in (None, 1, 7):
+            seen, want = set(), []
+            for d in dz.search_deza_digraphs(params, limit):
+                key = dz.canonical_form(d)
+                if key not in seen:
+                    seen.add(key)
+                    want.append(to_digraph6(d).decode("ascii") + "\n")
+            argv = ["search", "--params", ",".join(map(str, params.as_tuple())),
+                    "--canonical-dedup"] + ([] if limit is None else ["--limit", limit])
+            assert run_cli(*argv) == 0
+            assert capsys.readouterr().out == "".join(want), (params, limit)
 
 
 def test_cli_search_rejects_broken_invariants(capsys):

@@ -21,6 +21,17 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def test_only_matrix_core_makes_products():
+    # Digraph.products is the one owner of a matrix's products
+    src = Path(dezakit.__file__).parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "Products"]
+    assert [f.split(":")[0] for f in found] == ["matrix_core.py"]
+
+
 def _reject(d):
     return verify._fail("rejected by the test")
 

@@ -139,13 +139,13 @@ def test_block_assemble_rejects_mismatched():
 def test_products_identity():
     p = Products(identity(4))
     assert np.array_equal(p.square_strip, identity(4))
-    assert np.array_equal(p.gram, identity(4))
-    assert np.array_equal(p.cogram, identity(4))
+    assert np.array_equal(block_circulant(p.gram_strip), identity(4))
+    assert np.array_equal(block_circulant(p.cogram_strip), identity(4))
 
 
 def test_products_all_ones():
     p = Products(ones(3))
-    for g in (p.square_strip, p.gram, p.cogram):
+    for g in (p.square_strip, p.gram_strip, p.cogram_strip):
         assert np.array_equal(g, 3 * ones(3))
 
 
@@ -154,8 +154,8 @@ def test_gram_square_of_reference_example():
     p = Products(m)
     s = p.square_strip
     assert p.square_strip is s and p.m is m  # computed once, of m itself
-    assert np.array_equal(p.gram, naive_matmul(m, m.T))
-    assert np.array_equal(p.cogram, naive_matmul(m.T, m))
+    assert np.array_equal(block_circulant(p.gram_strip), naive_matmul(m, m.T))
+    assert np.array_equal(block_circulant(p.cogram_strip), naive_matmul(m.T, m))
     assert (np.diagonal(s) == 0).all()
     off = s[~np.eye(8, dtype=bool)]
     assert set(int(x) for x in off) == {1, 3}
@@ -238,6 +238,16 @@ def test_digraph_adjacency_is_frozen():
     d = Digraph(zeros(3))
     with pytest.raises(ValueError):
         d.adjacency[0, 1] = 1
+
+
+def test_digraph_owns_its_products():
+    d = Digraph(DEZA_8_3_3_1_0)
+    p = d.products
+    assert d.products is p and p.m is d.adjacency
+    assert np.array_equal(p.square_strip, naive_matmul(DEZA_8_3_3_1_0, DEZA_8_3_3_1_0))
+    # filled products change neither equality nor the hash
+    fresh = Digraph(DEZA_8_3_3_1_0)
+    assert d == fresh and hash(d) == hash(fresh) and fresh.products is not p
 
 
 def test_digraph_arcs():
@@ -388,8 +398,6 @@ def test_products_keep_the_strip_of_their_period():
             first_rows = naive_matmul(a[:period], b) if period < 128 else want
             assert np.array_equal(strip, first_rows)
             assert np.array_equal(block_circulant(strip), want)
-        assert np.array_equal(p.gram, block_circulant(p.gram_strip))
-        assert np.array_equal(p.cogram, block_circulant(p.cogram_strip))
 
 
 def test_block_circulant_keeps_bool_strips():

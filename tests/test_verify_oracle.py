@@ -258,21 +258,19 @@ def design_oracle(m, classes):
     return DesignParams(n, k, lams.pop())
 
 
-# name -> (verifier on (digraph, classes, **keywords), oracle on (rows, classes))
+# name -> (verifier on (digraph, classes), oracle on (rows, classes))
 CASES = {
-    "deza": (lambda d, c, **kw: verify.verify_deza_digraph(d, **kw), deza_oracle),
-    "dsrg": (lambda d, c, **kw: verify.verify_dsrg(d, **kw), dsrg_oracle),
-    "type2": (lambda d, c, **kw: verify.verify_type2(d, **kw), type2_oracle),
-    "ddd": (lambda d, c, **kw: verify.verify_ddd(d, c, **kw), ddd_oracle),
-    "discover": (lambda d, c, **kw: verify.discover_ddd_partition(d, **kw), discover_oracle),
-    "deza-graph": (lambda d, c, **kw: verify.verify_deza_graph(d, **kw),
+    "deza": (lambda d, c: verify.verify_deza_digraph(d), deza_oracle),
+    "dsrg": (lambda d, c: verify.verify_dsrg(d), dsrg_oracle),
+    "type2": (lambda d, c: verify.verify_type2(d), type2_oracle),
+    "ddd": (lambda d, c: verify.verify_ddd(d, c), ddd_oracle),
+    "discover": (lambda d, c: verify.discover_ddd_partition(d), discover_oracle),
+    "deza-graph": (lambda d, c: verify.verify_deza_graph(d),
                    lambda m, c: deza_graph_oracle(m, False)),
-    "reflexive-graph": (lambda d, c, **kw: verify.verify_deza_graph(d, reflexive=True, **kw),
+    "reflexive-graph": (lambda d, c: verify.verify_deza_graph(d, reflexive=True),
                         lambda m, c: deza_graph_oracle(m, True)),
-    "reflexive": (lambda d, c, **kw: verify.verify_reflexive_directed_deza(d, **kw),
-                  reflexive_oracle),
-    "design": (lambda d, c, **kw: verify.verify_symmetric_design(d.adjacency, **kw),
-               design_oracle),
+    "reflexive": (lambda d, c: verify.verify_reflexive_directed_deza(d), reflexive_oracle),
+    "design": (lambda d, c: verify.verify_symmetric_design(d), design_oracle),
 }
 
 
@@ -294,14 +292,13 @@ def check_against_oracle(m: np.ndarray, classes):
 
 
 def check_shared_products(m: np.ndarray, classes):
-    """Each verifier reports the same with one Products object, filled by
-    the verifiers before it, as with none."""
+    """Each verifier reports the same on one Digraph, whose products the
+    verifiers before it filled, as on a fresh Digraph of the same matrix."""
     d = dz.Digraph(m, loops_allowed=True)
-    shared = Products(d.adjacency)
     for _ in range(2):  # the second pass finds every product filled
         for name, (run, _oracle) in CASES.items():
-            alone = outcome(lambda: run(d, classes))
-            assert outcome(lambda: run(d, classes, products=shared)) == alone, name
+            alone = outcome(lambda: run(dz.Digraph(m, loops_allowed=True), classes))
+            assert outcome(lambda: run(d, classes)) == alone, name
 
 
 # regular and loop-free, but with M M^t != M^t M: the circulant on the
@@ -435,14 +432,17 @@ def test_block_circulant_verifiers_match_brute_force_counts(case):
     check_shared_products(m, classes)
 
 
-def test_ddd_of_twin_block_classes_reads_the_strips():
+def test_ddd_of_twin_block_classes_reads_the_strips(monkeypatch):
     # the shift by the period 16 maps block class r to block class r + 1
     pair, _ = dz.twin_directed(dz.sylvester(4))
     part, classes = pair.positive_part, pair.block_classes()
-    p = Products(part.adjacency)
-    got = verify.verify_ddd(part, classes, products=p)
-    verify.discover_ddd_partition(part, products=p)
-    assert p.period == 16 and "gram" not in p.__dict__ and "cogram" not in p.__dict__
+    expanded = []  # the dtypes of the strips the verifiers expand
+    real = verify.block_circulant
+    monkeypatch.setattr(verify, "block_circulant", lambda s: expanded.append(s.dtype) or real(s))
+    got = verify.verify_ddd(part, classes)
+    verify.discover_ddd_partition(part)
+    # bool position masks are expanded, but never a product strip
+    assert part.products.period == 16 and expanded and set(expanded) == {np.dtype(bool)}
     assert not got.ok
     assert report_to_dict(got) == report_to_dict(ddd_oracle(part.adjacency.tolist(), classes))
 
@@ -472,6 +472,22 @@ def test_verify_computes_each_product_once(tmp_path, capsys, matmul_calls):
     matmul_calls.clear()
     assert verify.discover_ddd_partition(fileio.read_digraph(path)) is not None
     assert len(matmul_calls) <= 2
+    # a Digraph keeps its products, so the second verifier on it makes none:
+    # a skew blow-up's DDD check, then discovery on it ...
+    skew = dz.skew_hadamard_deza(dz.paley_skew(7))
+    matmul_calls.clear()
+    assert verify.verify_ddd(skew, dz.construct.pair_classes(skew.n)).ok
+    first = len(matmul_calls)
+    assert first and verify.discover_ddd_partition(skew) is not None
+    assert len(matmul_calls) == first
+    # ... and a twin part's type-II check, then its block classes as a DDD
+    pair, _ = dz.twin_directed(dz.sylvester(3))
+    part = pair.positive_part
+    matmul_calls.clear()
+    assert verify.verify_type2(part).ok
+    first = len(matmul_calls)
+    verify.verify_ddd(part, pair.block_classes())
+    assert first and len(matmul_calls) == first
 
 
 @pytest.fixture
@@ -503,9 +519,3 @@ def test_the_shift_period_is_found_once_per_matrix(tmp_path, capsys, period_call
     assert verify.verify_type2(part).ok
     assert period_calls == [496]
 
-
-def test_products_of_another_array_are_refused(deza_8_3):
-    copy = Products(deza_8_3.adjacency.copy())
-    for run, _oracle in CASES.values():
-        with pytest.raises(ValueError, match="different matrix"):
-            run(deza_8_3, [[v] for v in range(8)], products=copy)
