@@ -16,8 +16,7 @@ from .finite_field import FiniteField, make_field, rep
 from .hadamard import (HadamardMatrix, is_skew_type, normalize, paley_skew,
                        sylvester)
 from .matrix_core import (Digraph, Products, SignedMatrix, SizeBoundError,
-                          block_assemble, block_circulant, circulant,
-                          exact_matmul, kronecker)
+                          block_circulant, circulant, exact_matmul, kronecker)
 from .scheme import (AssociationScheme, FusionReport, SchemeError,
                      fusion_digraph, paley_tournament, tournament_scheme,
                      verify_scheme)

@@ -13,9 +13,9 @@ import numpy as np
 from .finite_field import (Element, FiniteField, odd_prime_power_field,
                            quadratic_character_matrix, rep)
 from .hadamard import HadamardMatrix, is_normalized, is_skew_type
-from .matrix_core import (Digraph, SignedMatrix, block_assemble, block_circulant,
-                          check_order, circulant, exact_matmul, identity,
-                          kronecker, ones, zeros)
+from .matrix_core import (Digraph, SignedMatrix, block_circulant, check_order,
+                          circulant, exact_matmul, identity, kronecker, ones,
+                          zeros)
 from .verify import DesignParams, DezaParams, DsrgParams, verify_symmetric_design
 
 
@@ -73,11 +73,8 @@ def skew_hadamard_deza(h: HadamardMatrix) -> Digraph:
         raise ValueError("Hadamard matrix is not skew-type (H + H^t != 2I)")
     if h.order % 4 != 0:
         raise ValueError(f"order {h.order} is not divisible by 4")
-    o2, i2 = zeros(2), identity(2)
-    f2 = ones(2) - i2
-    grid = [[o2 if i == j else (i2 if h.matrix[i, j] == 1 else f2)
-             for j in range(h.order)] for i in range(h.order)]
-    return Digraph(block_assemble(grid))
+    off, i2 = h.matrix - identity(h.order), identity(2)  # H's diagonal is +1
+    return Digraph(kronecker(off == 1, i2) + kronecker(off == -1, ones(2) - i2))
 
 
 def pair_classes(n_vertices: int) -> list[list[int]]:
@@ -244,22 +241,18 @@ def shift_indicator(field: FiniteField, a: Symbol) -> np.ndarray:
 
 
 def auxiliary_matrix(field: FiniteField, a: Symbol, alpha: Element) -> np.ndarray:
-    """C_{a, alpha}: for a field-element symbol, the block matrix with
-    (beta, beta') block rep(a(-beta + beta') + alpha); for the symbol y,
-    rep(alpha) x J_q."""
+    """C_{a, alpha}: for a field-element symbol, the block matrix whose
+    (beta, beta') block rep(a(beta' - beta) + alpha) has row i's one in
+    column numeral(e_i + a(beta' - beta) + alpha); for y, rep(alpha) x J_q."""
     field.check_member(alpha)
     if a == "y":
         return kronecker(rep(field, alpha), ones(field.q))
     field.check_member(a)
-    reps = {e: rep(field, e) for e in field.elements}
-    grid = []
-    for beta in field.elements:
-        row = []
-        for beta_p in field.elements:
-            arg = field.add(field.mul(a, field.sub(beta_p, beta)), alpha)
-            row.append(reps[arg])
-        grid.append(row)
-    return block_assemble(grid)
+    q, e = field.q, field.vectors()
+    times_a = np.array([field.mul(a, x) for x in field.elements], dtype=np.int64)
+    shift = times_a[field.numeral(e[None, :] - e[:, None])] + alpha  # [beta, beta']
+    # axes [beta, i, beta', column]: row (beta, i) is blocks beta' side by side
+    return identity(q)[field.numeral(shift[:, None] + e[None, :, None])].reshape(q * q, q * q)
 
 
 def _symbols(field: FiniteField) -> list:

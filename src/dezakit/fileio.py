@@ -32,8 +32,6 @@ def _matrix_text(m: np.ndarray) -> bytes:
     """The file text of m; raises for a matrix read_matrix would reject."""
     m = as_int_matrix(m)
     n = m.shape[0]
-    if n == 0:
-        raise ValueError("order must be positive")
     lo, hi = int(m.min()), int(m.max())
     if lo < -1 or hi > 1:
         raise ValueError(f"entry {lo if lo < -1 else hi} outside alphabet signed")

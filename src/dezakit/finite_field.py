@@ -1,11 +1,11 @@
 """GF(p^m) arithmetic for odd p, plus the field-matrix gadgets the
-constructions need: the quadratic-character matrix and the
-additive-group permutation representation.
+constructions need: the quadratic-character matrix and the translation
+matrices of the additive group.
 
 Elements are coefficient tuples (c0, ..., c_{m-1}), c_i the coefficient
-of x^i, each in [0, p).  The element enumeration lists coefficient
-vectors in lexicographic order, zero first; all matrix constructions
-index rows/columns by that order.
+of x^i, each in [0, p), listed in lexicographic order, zero first: an
+element's index is its vector read as a base-p numeral (c0 leading,
+FiniteField.numeral).  All matrices index rows/columns by that order.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import itertools
 
 import numpy as np
 
-from .matrix_core import check_order, circulant, identity, kronecker
+from .matrix_core import check_order, identity
 
 MAX_ORDER = 2**16
 
@@ -129,6 +129,17 @@ class FiniteField:
     def element(self, i: int) -> Element:
         return self.elements[i]
 
+    def vectors(self) -> np.ndarray:
+        """The q x m int64 array whose row i is element i's vector."""
+        return np.array(self.elements, dtype=np.int64)
+
+    def numeral(self, coords) -> np.ndarray:
+        """The indices of the coefficient vectors along the last axis of
+        coords, reduced mod p, so vectors added or subtracted before the
+        call add or subtract the elements."""
+        weights = self.p ** np.arange(self.m - 1, -1, -1, dtype=np.int64)
+        return (np.asarray(coords, dtype=np.int64) % self.p) @ weights
+
     def check_member(self, a: Element):
         if a not in self._index:
             raise ValueError(f"{a} is not an element of GF({self.p}^{self.m})")
@@ -187,26 +198,13 @@ def quadratic_character_matrix(field: FiniteField) -> np.ndarray:
     chi = np.full(field.q, -1, dtype=np.int64)
     chi[0] = 0
     chi[[field.index_of(s) for s in field.nonzero_squares()]] = 1
-    # elements are coefficient vectors in lexicographic order, so an
-    # element's index is its vector read as a base-p numeral
-    coords = np.array(field.elements, dtype=np.int64)
-    weights = field.p ** np.arange(field.m - 1, -1, -1, dtype=np.int64)
-    diff = (coords[None, :, :] - coords[:, None, :]) % field.p
-    return chi[diff @ weights]
+    e = field.vectors()
+    return chi[field.numeral(e[None, :, :] - e[:, None, :])]
 
 
 def rep(field: FiniteField, a: Element) -> np.ndarray:
-    """Permutation representation of the additive group.
-
-    a = (x_1, ..., x_m) maps to the Kronecker product of shift-matrix
-    powers U^{x_1} x ... x U^{x_m}, a q x q permutation matrix.
-    """
+    """The q x q permutation matrix of the translation x -> x + a of the
+    additive group: row i has its one in column numeral(e_i + a).  It is
+    a faithful representation, rep(a) rep(b) = rep(a + b)."""
     field.check_member(a)
-    p = field.p
-    u_row = np.zeros(p, dtype=np.int64)
-    u_row[1 % p] = 1
-    shift = circulant(u_row)
-    out = identity(1)
-    for x in a:
-        out = kronecker(out, np.linalg.matrix_power(shift, x).astype(np.int64))
-    return out
+    return identity(field.q)[field.numeral(field.vectors() + a)]

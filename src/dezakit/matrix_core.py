@@ -43,10 +43,12 @@ def check_order(n: int):
 
 
 def as_int_matrix(rows) -> np.ndarray:
-    """Coerce nested sequences / arrays to a square int64 matrix."""
+    """Coerce nested sequences / arrays to a square int64 matrix, order > 0."""
     m = np.asarray(rows, dtype=np.int64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if m.shape[0] == 0:
+        raise ValueError("order must be positive")
     return m
 
 
@@ -155,20 +157,6 @@ def circulant(first_row) -> np.ndarray:
     if row.ndim != 1 or row.size == 0:
         raise ValueError("first row must be a nonempty sequence")
     return block_circulant(row[None, :])
-
-
-def block_assemble(grid) -> np.ndarray:
-    """Assemble a g x g grid of equal-order blocks into one matrix."""
-    if len(grid) == 0 or any(len(r) != len(grid) for r in grid):
-        raise ValueError("grid must be a square arrangement of blocks")
-    h = np.asarray(grid[0][0]).shape[0]
-    for row in grid:
-        for blk in row:
-            blk = np.asarray(blk)
-            if blk.shape != (h, h):
-                raise ValueError(f"block order mismatch: {blk.shape} vs ({h}, {h})")
-    g = len(grid)
-    return np.asarray(grid, dtype=np.int64).transpose(0, 2, 1, 3).reshape(g * h, g * h)
 
 
 class Products:

@@ -115,6 +115,17 @@ def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def kronecker_rep(field, a) -> np.ndarray:
+    """The translation by a as the Kronecker product U^{a_0} x ... x
+    U^{a_{m-1}} of powers of the p x p cyclic shift U, the oracle for
+    finite_field.rep."""
+    shift = np.roll(np.eye(field.p, dtype=np.int64), 1, axis=1)
+    out = np.ones((1, 1), dtype=np.int64)
+    for x in a:
+        out = np.kron(out, np.linalg.matrix_power(shift, x))
+    return out
+
+
 def two_path_count(m: np.ndarray, u: int, v: int) -> int:
     """|{w : u -> w -> v}| counted directly from arcs."""
     return sum(1 for w in range(m.shape[0]) if m[u, w] and m[w, v])

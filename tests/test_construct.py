@@ -16,7 +16,7 @@ from dezakit.verify import (DezaParams, DsrgParams, verify_ddd,
                             verify_deza_digraph, verify_deza_graph,
                             verify_dsrg, verify_type2)
 
-from conftest import DEZA_8_3_3_1_0
+from conftest import DEZA_8_3_3_1_0, kronecker_rep
 
 
 def lex_arc_oracle(d1, d2, x1, y1, x2, y2):
@@ -96,6 +96,17 @@ def test_skew_blowup_families(u):
     assert rep.params.as_tuple() == (8 * u, 4 * u - 1, 4 * u - 1, 2 * u - 1, 0)
     ddd = verify_ddd(d, dz.construct.pair_classes(d.n))
     assert ddd.params.as_tuple() == (8 * u, 4 * u - 1, 0, 2 * u - 1, 4 * u, 2)
+
+
+@pytest.mark.parametrize("q", [3, 7, 11, 19, 23, 27, 199])
+def test_skew_blowup_follows_the_block_rule(q):
+    h = paley_skew(q)
+    adj = skew_hadamard_deza(h).adjacency
+    i2 = identity(2)
+    for i in range(q + 1):
+        for j in range(q + 1):
+            want = np.zeros((2, 2)) if i == j else i2 if h.matrix[i, j] == 1 else ones(2) - i2
+            assert np.array_equal(adj[2 * i:2 * i + 2, 2 * j:2 * j + 2], want), (q, i, j)
 
 
 def test_skew_blowup_rejects_non_skew():
@@ -374,6 +385,36 @@ def test_field_type2_matches_kron_sum(p, m, alpha_count):
         alpha = f.element(i)
         assert np.array_equal(field_type2(f, alpha).adjacency,
                               kron_sum_oracle(f, alpha)), (f.q, alpha)
+
+
+def auxiliary_by_blocks(f, a, alpha):
+    """C_{a, alpha} from its definition: block (beta, beta') is
+    rep(a(beta' - beta) + alpha), and C_{y, alpha} is rep(alpha) x J_q."""
+    if a == "y":
+        return np.kron(kronecker_rep(f, alpha), ones(f.q))
+    return np.block([[kronecker_rep(f, f.add(f.mul(a, f.sub(bp, b)), alpha))
+                      for bp in f.elements] for b in f.elements])
+
+
+@pytest.mark.parametrize("p,m", [(3, 1), (5, 1), (3, 2)], ids=["q3", "q5", "q9"])
+def test_auxiliary_matrix_matches_its_blocks(p, m):
+    f = dz.make_field(p, m)
+    for a in list(f.elements) + ["y"]:
+        for alpha in f.elements:
+            assert np.array_equal(auxiliary_matrix(f, a, alpha),
+                                  auxiliary_by_blocks(f, a, alpha)), (a, alpha)
+
+
+@pytest.mark.parametrize("p,m", [(5, 2), (3, 3)], ids=["q25", "q27"])
+def test_auxiliary_matrix_matches_its_blocks_sampled(p, m):
+    f = dz.make_field(p, m)
+    rng = np.random.default_rng(19)
+    symbols = list(f.elements) + ["y"]
+    for _ in range(4):
+        a = symbols[rng.integers(len(symbols))]
+        alpha = f.element(int(rng.integers(f.q)))
+        assert np.array_equal(auxiliary_matrix(f, a, alpha),
+                              auxiliary_by_blocks(f, a, alpha)), (a, alpha)
 
 
 def test_auxiliary_matrix_rejects_non_members():

@@ -7,7 +7,7 @@ import pytest
 from dezakit.finite_field import factor_prime_power, make_field, rep
 from dezakit.matrix_core import identity, ones
 
-from conftest import naive_matmul
+from conftest import kronecker_rep, naive_matmul
 
 
 def power(f, a, e):
@@ -164,6 +164,20 @@ def test_generalized_hadamard_dimension_check():
     f = make_field(3, 1)
     with pytest.raises(ValueError):
         is_generalized_hadamard(f, multiplication_table(f), 3, 2)
+
+
+@pytest.mark.parametrize("p,m", [(3, 1), (5, 1), (3, 2), (5, 2), (3, 3)])
+def test_rep_matches_the_kronecker_oracle(p, m):
+    f = make_field(p, m)
+    for a in f.elements:
+        assert np.array_equal(rep(f, a), kronecker_rep(f, a)), a
+
+
+def test_numeral_inverts_the_element_order():
+    f = make_field(3, 3)
+    assert f.numeral(f.vectors()).tolist() == list(range(27))
+    # coefficients are reduced mod p: -1 reads as 2, 4 as 1
+    assert f.numeral([[-1, 4, 0], [3, 3, 3]]).tolist() == [f.index_of((2, 1, 0)), 0]
 
 
 def test_rep_zero_is_identity():

@@ -9,6 +9,8 @@ import pytest
 
 import dezakit
 from dezakit import construct, decompose_search, hadamard, verify
+from dezakit.hadamard import HadamardMatrix
+from dezakit.matrix_core import Digraph, SignedMatrix
 from dezakit.verify import DesignParams, DezaParams
 
 
@@ -66,3 +68,27 @@ def test_fit_rejects_partner_counts_that_vary_by_vertex():
     s = np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]], dtype=np.int64)
     with pytest.raises(RuntimeError, match="partner counts"):
         verify._fit_two_valued(s, 1, 0, "counts", lambda a, b: ("fit", None))
+
+
+EMPTY = np.zeros((0, 0), int)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: verify.verify_deza_digraph(Digraph(EMPTY)),
+    lambda: verify.verify_dsrg(Digraph(EMPTY)),
+    lambda: verify.verify_type2(Digraph(EMPTY)),
+    lambda: verify.verify_ddd(Digraph(EMPTY), []),
+    lambda: verify.discover_ddd_partition(Digraph(EMPTY)),
+    lambda: verify.verify_deza_graph(Digraph(EMPTY, loops_allowed=True), reflexive=True),
+    lambda: verify.verify_reflexive_directed_deza(Digraph(EMPTY, loops_allowed=True)),
+    lambda: verify.verify_symmetric_design(EMPTY),
+    lambda: Digraph(EMPTY),
+    lambda: SignedMatrix(EMPTY),
+    lambda: HadamardMatrix(EMPTY),
+], ids=["deza_digraph", "dsrg", "type2", "ddd", "discover_ddd", "deza_graph",
+        "reflexive_directed_deza", "symmetric_design", "Digraph", "SignedMatrix",
+        "HadamardMatrix"])
+def test_order_zero_matrices_are_refused(build):
+    # each verifier reads a Digraph, or a raw array for symmetric designs
+    with pytest.raises(ValueError, match="order must be positive"):
+        build()

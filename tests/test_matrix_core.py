@@ -7,9 +7,8 @@ from hypothesis.extra.numpy import arrays
 from dezakit import construct, finite_field, hadamard
 from dezakit.matrix_core import (MAX_ORDER, _shift_period, Digraph, Products,
                                  SignedMatrix, SizeBoundError, as_int_matrix,
-                                 block_assemble, block_circulant, circulant,
-                                 exact_matmul, identity, kronecker, max_abs, ones,
-                                 zeros)
+                                 block_circulant, circulant, exact_matmul,
+                                 identity, kronecker, max_abs, ones, zeros)
 
 from conftest import DEZA_8_3_3_1_0, naive_matmul
 
@@ -101,39 +100,6 @@ def test_block_circulant_rejects_bad_shapes(strip):
 def test_block_circulant_order_bound():
     with pytest.raises(SizeBoundError, match="exceeds the bound"):
         block_circulant(np.zeros((1, MAX_ORDER + 1), dtype=np.int64))
-
-
-def test_block_assemble_single():
-    a = np.array([[1, 2], [3, 4]], dtype=np.int64)
-    assert np.array_equal(block_assemble([[a]]), a)
-
-
-def test_block_assemble_identity_blocks():
-    i2, o2 = identity(2), zeros(2)
-    assert np.array_equal(block_assemble([[i2, o2], [o2, i2]]), identity(4))
-
-
-def block_split(m, h):
-    """The inverse of block_assemble: m cut into a grid of blocks of order h."""
-    g = m.shape[0] // h
-    return [[m[i * h:(i + 1) * h, j * h:(j + 1) * h] for j in range(g)] for i in range(g)]
-
-
-def test_block_round_trip():
-    rng = np.random.default_rng(10)
-    m = rng.integers(-9, 10, (4, 4)).astype(np.int64)
-    assert np.array_equal(block_assemble(block_split(m, 2)), m)
-    grid = [[rng.integers(0, 5, (3, 3)).astype(np.int64) for _ in range(2)]
-            for _ in range(2)]
-    back = block_split(block_assemble(grid), 3)
-    for i in range(2):
-        for j in range(2):
-            assert np.array_equal(back[i][j], grid[i][j])
-
-
-def test_block_assemble_rejects_mismatched():
-    with pytest.raises(ValueError):
-        block_assemble([[identity(2), identity(3)], [identity(2), identity(2)]])
 
 
 def test_products_identity():
@@ -260,15 +226,6 @@ def test_signed_matrix_parts():
     assert np.array_equal(s.positive_part() - s.negative_part(), s.matrix)
     with pytest.raises(ValueError):
         SignedMatrix(np.array([[0, 2], [0, 0]], dtype=np.int64))
-
-
-def test_block_assemble_matches_np_block():
-    rng = np.random.default_rng(14)
-    for g, h in ((1, 3), (3, 1), (4, 2), (5, 3)):
-        grid = [[rng.integers(-5, 6, (h, h)) for _ in range(g)] for _ in range(g)]
-        got = block_assemble(grid)
-        assert got.dtype == np.int64
-        assert np.array_equal(got, np.block(grid))
 
 
 def test_max_abs_reads_extremes():

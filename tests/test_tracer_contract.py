@@ -1,0 +1,42 @@
+"""The benchmark's tracer (bench/tracer.py) finds the library's field
+operations and validators by name; a rename or removal there would break
+traced benchmark runs, so its install/uninstall contract is checked here."""
+
+import types
+from pathlib import Path
+
+from dezakit import finite_field, hadamard, matrix_core
+
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+
+
+def load_tracer():
+    """bench/tracer.py as a module, executed from its text so that no
+    bytecode cache is written next to it."""
+    module = types.ModuleType("tracer")
+    exec(compile(TRACER.read_text(encoding="utf-8"), str(TRACER), "exec"), module.__dict__)
+    return module
+
+
+def test_tracer_wraps_the_field_operations_and_restores_everything():
+    tracer = load_tracer()
+    field_ops = {op: vars(finite_field.FiniteField)[op] for op in tracer.FIELD_OPS}
+    validators = [vars(cls)["__post_init__"] for cls in (
+        matrix_core.Digraph, matrix_core.SignedMatrix, hadamard.HadamardMatrix)]
+    matmul = matrix_core.exact_matmul
+    t = tracer.Tracer()
+    try:
+        t.install()
+        for op, original in field_ops.items():
+            assert vars(finite_field.FiniteField)[op].__wrapped__ is original, op
+        assert matrix_core.exact_matmul.__wrapped__ is matmul
+        f = finite_field.make_field(3, 1)
+        f.mul(f.one, f.one)
+        assert t.metrics()["finite_field.ops"] == 1
+    finally:
+        t.uninstall()
+    assert matrix_core.exact_matmul is matmul
+    for op, original in field_ops.items():
+        assert vars(finite_field.FiniteField)[op] is original, op
+    assert validators == [vars(cls)["__post_init__"] for cls in (
+        matrix_core.Digraph, matrix_core.SignedMatrix, hadamard.HadamardMatrix)]
