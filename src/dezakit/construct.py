@@ -365,11 +365,11 @@ def check_construction_identities(field: FiniteField) -> IdentityReport:
            None if np.array_equal(cross, 2 * q * (ones(size) - identity(size)))
            else "sum over distinct symbol pairs")
 
-    n_mats = {al: field_type2(field, al).adjacency for al in elems}
+    n_strips = {al: field_type2(field, al).adjacency[:q * q] for al in elems}
 
     def expansion_ok(al, be):
         # every term, and both factors, are block-circulant with period q^2,
-        # so the first q^2 rows decide the identity; kron(A, B)[:q^2] is
+        # so their first q^2 rows decide the identity; kron(A, B)[:q^2] is
         # kron(A[:q^2 / rows(B)], B)
         gamma = field.add(al, be)
         expected = (2 * q * q * kronecker(identity(size * q)[:q], reps[gamma])
@@ -380,7 +380,7 @@ def check_construction_identities(field: FiniteField) -> IdentityReport:
             j = _position(field, a)
             wave = _indicator_circulant(size, (2 * j, -2 * j))
             expected = expected + q * kronecker(wave[:1], aux[(a, gamma)])
-        return np.array_equal(exact_matmul(n_mats[al][:q * q], n_mats[be]), expected)
+        return np.array_equal(exact_matmul(n_strips[al], n_strips[be]), expected)
 
     record("product_expansion", first_failure(
         (f"alpha={al}, beta={be}", expansion_ok(al, be))

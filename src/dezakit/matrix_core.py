@@ -3,13 +3,13 @@
 Matrices are numpy arrays of dtype int64.  They are square, except for
 strips: the h x n first block row of a block-circulant matrix, which
 block_circulant expands.  Products finds the cyclic shift period of a
-matrix, once, and keeps its products as such strips; exact_matmul is
-the plain dense product.  0/1 masks, such as the position matrices of
-the verifiers, are bool.  Every operation is pure and exact: no modular
-reduction, no floating-point rounding.  Large multiplies are routed
-through BLAS only when a proven bound guarantees that every
-intermediate value is an exactly representable integer: in float32
-below 2^24, in float64 below 2^53.
+matrix, once, and keeps its products as such strips; exact_matmul
+takes its right operand dense or as such a strip.  0/1 masks, such as
+the position matrices of the verifiers, are bool.  Every operation is
+pure and exact: no modular reduction, no floating-point rounding.  Large
+multiplies are routed through BLAS only when a proven bound guarantees
+that every intermediate value is an exactly representable integer: in
+float32 below 2^24, in float64 below 2^53.
 """
 
 from __future__ import annotations
@@ -69,33 +69,36 @@ def max_abs(m: np.ndarray) -> int:
 
 
 def is_zero_one(m: np.ndarray) -> bool:
-    return m.size == 0 or bool(m.min() >= 0 and m.max() <= 1)
+    # one reduction on int64 m: read as uint64, a negative entry is >= 2^63
+    return m.size == 0 or bool(m.view(np.uint64).max() <= 1)
 
 
 def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact integer matrix product with an overflow guard.
+    """Exact integer product a B with an overflow guard: B is b, or
+    block_circulant(b) for an h x n strip b with n = a.shape[1] and h | n,
+    expanded only after b is cast to the type the product is made in.
 
-    The accumulated magnitude is bounded by inner_dim * max|a| * max|b|.
-    When the inner dimension is at least _BLAS_MIN_ORDER and that bound
-    fits float64's exact-integer range, BLAS computes it, in float32 when
-    the bound fits float32's range: every partial sum, in any order, FMA
-    or not, is an exact integer, so the result is bit-identical to integer
-    arithmetic.  Otherwise the int64 kernel is used.  Bounds beyond int64
-    raise SizeBoundError.
-    """
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch {a.shape} x {b.shape}")
+    Every partial sum is bounded by n * max|a| * max|b| (a strip holds
+    every value of B).  From n = _BLAS_MIN_ORDER on, BLAS multiplies in
+    float32 when that bound is below 2^24 and in float64 below 2^53: every
+    partial sum, in any order, FMA or not, is then an exact integer, so
+    the result is bit-identical to integer arithmetic.  Otherwise the
+    int64 kernel is used.  Bounds beyond int64 raise SizeBoundError."""
     inner = a.shape[1]
+    strip = b.shape[0] != inner
+    if strip and b.shape[-1] != inner:
+        raise ValueError(f"dimension mismatch {a.shape} x {b.shape}")
     bound = inner * max_abs(a) * max_abs(b)
     if bound > INT64_MAX:
         raise SizeBoundError(
             f"matrix product may exceed the 64-bit entry range (bound {bound})"
         )
-    if inner >= _BLAS_MIN_ORDER and bound < _FLOAT_EXACT_BOUND:
+    blas = inner >= _BLAS_MIN_ORDER and bound < _FLOAT_EXACT_BOUND
+    if blas:
         ftype = np.float32 if bound < _FLOAT32_EXACT_BOUND else np.float64
-        c = a.astype(ftype) @ b.astype(ftype)
-        return np.rint(c).astype(np.int64)
-    return a @ b
+        a, b = a.astype(ftype), b.astype(ftype)
+    c = a @ (block_circulant(b) if strip else b)
+    return np.rint(c).astype(np.int64) if blas else c
 
 
 def _shift_period(m: np.ndarray) -> int:
@@ -124,10 +127,10 @@ def block_circulant(strip) -> np.ndarray:
     with g = n / h.  Equivalently m[i + h, j + h] = m[i, j], indices
     mod n.  Block row r is strip rolled right by r * h columns, which is
     the window of n columns starting at n - r * h in strip written twice
-    side by side.  A bool strip gives a bool matrix, any other an int64
-    one; when h = n the strip itself is returned."""
+    side by side.  A bool or float strip gives a matrix of its dtype,
+    any other an int64 one; when h = n the strip itself is returned."""
     strip = np.asarray(strip)
-    if strip.dtype != bool:
+    if strip.dtype.kind not in "bf":
         strip = strip.astype(np.int64, copy=False)
     if strip.ndim != 2 or strip.size == 0:
         raise ValueError(f"strip must be a nonempty 2-D array, got shape {strip.shape}")
@@ -166,22 +169,20 @@ class Products:
 
     m and m^t are invariant under the same cyclic index shifts, so each
     product is block-circulant with the shift period h of m (n when m
-    has none or n < _BLAS_MIN_ORDER).  period finds h once per matrix,
-    and no other code looks for it.  Each product is kept only as its
-    first h rows, the h x n strip that exact_matmul computes from the
-    first h rows of its left operand; block_circulant expands a strip."""
+    has none or n < _BLAS_MIN_ORDER).  A Products finds h, its period,
+    when it is made, and no other code looks for it.  Each product is
+    kept only as its first h rows, the exact_matmul of the first h rows
+    (strip and co_strip) of m and m^t; block_circulant expands a strip."""
 
     def __init__(self, m: np.ndarray):
+        n = m.shape[0]
         self.m = m
+        self.period = _shift_period(m) if n >= _BLAS_MIN_ORDER else n
+        self.strip, self.co_strip = m[:self.period], m.T[:self.period]
 
-    @cached_property
-    def period(self) -> int:
-        n = self.m.shape[0]
-        return _shift_period(self.m) if n >= _BLAS_MIN_ORDER else n
-
-    square_strip = cached_property(lambda self: exact_matmul(self.m[:self.period], self.m))
-    gram_strip = cached_property(lambda self: exact_matmul(self.m[:self.period], self.m.T))
-    cogram_strip = cached_property(lambda self: exact_matmul(self.m.T[:self.period], self.m))
+    square_strip = cached_property(lambda self: exact_matmul(self.strip, self.strip))
+    gram_strip = cached_property(lambda self: exact_matmul(self.strip, self.co_strip))
+    cogram_strip = cached_property(lambda self: exact_matmul(self.co_strip, self.strip))
 
 
 def _frozen(rows) -> np.ndarray:

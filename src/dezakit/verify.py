@@ -9,12 +9,11 @@ verifiers run on one digraph compute each product once.  A product
 invariant under the cyclic index shift by h is read from its first h
 rows (a Products strip): its diagonal entries there are s[i, i] for
 i < h, and every other entry of the product occurs n/h times as often
-as in the strip.
-A shift-invariant mismatch first occurs in row-major order in a row
-below h, so the witnesses name the pairs the dense product would.
-Definitional failures are
-reported (classification "not_member" plus a witness); malformed calls
-raise ValueError.
+as in the strip.  Degrees are row sums of the strips of M and M^t.  A
+shift-invariant degree or entry first fails in row-major order in a row
+below h, so the witnesses name the vertices and pairs the dense matrices
+would.  Definitional failures are reported (classification "not_member"
+plus a witness); malformed calls raise ValueError.
 """
 
 from __future__ import annotations
@@ -113,9 +112,9 @@ def _fail(witness: str) -> VerificationReport:
     return VerificationReport(classification=NOT_MEMBER, witness=witness)
 
 
-def _regularity(m: np.ndarray) -> tuple[int | None, str | None]:
-    rows = m.sum(axis=1)
-    cols = m.sum(axis=0)
+def _regularity(d: Digraph) -> tuple[int | None, str | None]:
+    rows = d.products.strip.sum(axis=1)
+    cols = d.products.co_strip.sum(axis=1)
     k = int(rows[0])
     if not (rows == k).all():
         u = int(np.argmax(rows != k))
@@ -241,7 +240,7 @@ def verify_deza_digraph(d: Digraph) -> VerificationReport:
     # a Digraph made without loops_allowed was checked loop-free
     if d.loops_allowed and m.trace() != 0:
         raise ValueError("digraph has loops; use the reflexive verifier")
-    k, witness = _regularity(m)
+    k, witness = _regularity(d)
     if witness:
         return _fail(witness)
     s = d.products.square_strip
@@ -308,15 +307,15 @@ def verify_dsrg(d: Digraph) -> VerificationReport:
     m, n = d.adjacency, d.n
     if d.loops_allowed and m.trace() != 0:
         raise ValueError("digraph has loops")
-    k, witness = _regularity(m)
+    k, witness = _regularity(d)
     if witness:
         return _fail(witness)
     s = d.products.square_strip
     t = int(s[0, 0])
     if not (np.diagonal(s) == t).all():
         return _fail(f"diag(M^2) not constant: {_value_multiset(s)}")
-    rows = m[:s.shape[0]]  # M repeats with the period of its products
-    arc, non = rows == 1, rows == 0
+    strip, co_strip = d.products.strip, d.products.co_strip
+    arc, non = strip == 1, strip == 0
     np.fill_diagonal(arc, False)
     np.fill_diagonal(non, False)
     lam_vals, mu_vals = _distinct(s[arc]), _distinct(s[non])
@@ -326,7 +325,7 @@ def verify_dsrg(d: Digraph) -> VerificationReport:
         return _fail(f"path counts on non-arcs not constant: {mu_vals}")
     lam = lam_vals[0] if lam_vals else (mu_vals[0] if mu_vals else 0)
     mu = mu_vals[0] if mu_vals else lam
-    tag = "srg" if np.array_equal(m, m.T) else "dsrg"
+    tag = "srg" if np.array_equal(strip, co_strip) else "dsrg"
     return VerificationReport(classification=tag, params=DsrgParams(n, k, lam, mu, t))
 
 
@@ -335,7 +334,7 @@ def verify_type2(d: Digraph) -> VerificationReport:
     m, n = d.adjacency, d.n
     if d.loops_allowed and m.trace() != 0:
         raise ValueError("digraph has loops; use the reflexive verifier")
-    k, witness = _regularity(m)
+    k, witness = _regularity(d)
     if witness:
         return _fail(witness)
     g, g2 = d.products.gram_strip, d.products.cogram_strip
@@ -392,7 +391,7 @@ def verify_ddd(d: Digraph, partition) -> VerificationReport:
     if not (mutual <= 1).all():
         u, v = np.argwhere(mutual > 1)[0]
         return _fail(f"not asymmetric: mutual arcs between {int(u)} and {int(v)}")
-    k, witness = _regularity(m)
+    k, witness = _regularity(d)
     if witness:
         return _fail(witness)
     gout, gin = products.gram_strip, products.cogram_strip
@@ -431,11 +430,10 @@ def discover_ddd_partition(d: Digraph) -> list[list[int]] | None:
     the grouping only if it is an equivalence with uniform class size
     that verifies.  Returns None when no partition is found.
     """
-    m, n = d.adjacency, d.n
-    h = d.products.period
-    if not ((m[:h] + m.T[:h]) <= 1).all():
+    n, products = d.n, d.products
+    if not ((products.strip + products.co_strip) <= 1).all():
         return None
-    g = d.products.gram_strip
+    g = products.gram_strip
     vals = _offdiag_values(g)
     if len(vals) > 2:
         return None
@@ -488,7 +486,7 @@ def verify_deza_graph(d: Digraph, reflexive: bool = False) -> VerificationReport
         raise ValueError("reflexive verification requires a loop at every vertex")
     if not reflexive and diag.any():
         raise ValueError("loops present; pass reflexive=True")
-    k, witness = _regularity(m)
+    k, witness = _regularity(d)
     if witness:
         return _fail(witness)
     s = d.products.square_strip
@@ -555,7 +553,7 @@ def verify_reflexive_directed_deza(d: Digraph) -> ReflexiveReport:
     m, n = d.adjacency, d.n
     if not (np.diagonal(m) == 1).all():
         raise ValueError("reflexive verification requires a loop at every vertex")
-    k, witness = _regularity(m)
+    k, witness = _regularity(d)
     if witness:
         empty = StatisticSummary("square", (), (), None, False, None)
         emptyg = StatisticSummary("gram", (), (), None, False, None)
@@ -577,8 +575,8 @@ def verify_symmetric_design(incidence: Digraph | np.ndarray) -> DesignParams:
     """Check N N^t = N^t N = (k - lam) I + lam J and constant line sums;
     a 0/1 array is read as the Digraph with loops allowed."""
     d = incidence if isinstance(incidence, Digraph) else Digraph(incidence, loops_allowed=True)
-    m, n = d.adjacency, d.n
-    k, witness = _regularity(m)
+    n = d.n
+    k, witness = _regularity(d)
     if witness:
         raise ValueError(f"line sums not constant: {witness}")
     lam = None

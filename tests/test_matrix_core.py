@@ -169,6 +169,12 @@ def test_float32_tier_is_exact_at_its_edge(amax, bmax, tier):
     assert (int(np.float32(corner)) != corner) == (tier == "float64")
     assert np.array_equal(exact_matmul(a, b), want)
     assert np.array_equal(exact_matmul(b.T, a.T), want.T)
+    # the same corner from the circulant with b's column 0, given as its
+    # first row: row 0 is column 0 read upwards
+    c = circulant(np.roll(b[::-1, 0], 1))
+    want = int64_oracle(a, c)
+    assert np.array_equal(c[:, 0], b[:, 0]) and want[0, 0] == corner
+    assert np.array_equal(exact_matmul(a, c[:1]), want)
 
 
 def test_exact_matmul_overflow_guard():
@@ -308,6 +314,67 @@ def test_large_entries_take_the_int64_route():
         assert np.array_equal(exact_matmul(a, b), int64_oracle(a, b))
 
 
+def check_strip_products(m, h):
+    """Every product of m and m^t with a strip right operand, the first
+    h rows of m or m^t, against the dense product and the int64 one;
+    the left operand is dense or a strip too."""
+    for a, b in ((m, m), (m, m.T), (m.T, m), (m.T, m.T)):
+        want = int64_oracle(a, b)
+        for left in (a, a[:h]):
+            got = exact_matmul(left, b[:h])
+            assert got.dtype == np.int64
+            assert np.array_equal(got, exact_matmul(left, block_circulant(b[:h])))
+            assert np.array_equal(got, want[:left.shape[0]])
+
+
+@pytest.mark.parametrize("h, g, top, route", [
+    (1, 131, 2**8, "float32"), (4, 33, 2**9, "float64"),
+    (16, 16, 2**22, "float64"), (16, 16, 2**26, "int64"),
+    (128, 1, 2**4, "float32"), (130, 1, 2**26, "int64")])
+def test_strip_operands_on_every_route(h, g, top, route):
+    # bounds on both sides of 2^24 and of 2^53; h = 1 is a circulant,
+    # h = n a strip that is the whole matrix
+    m = shift_invariant(np.random.default_rng(2000 + h + top), h, g, -top, top + 1)
+    m[np.arange(m.shape[0]), np.arange(m.shape[0])] = top
+    n = m.shape[0]
+    bound = n * max_abs(m) ** 2
+    assert bound < 2**63 and _shift_period(m) == h
+    assert route == ("float32" if bound < 2**24 else "float64" if bound < 2**53 else "int64")
+    check_strip_products(m, h)
+
+
+@pytest.mark.parametrize("h, g", [(1, 7), (3, 4), (12, 1)])
+def test_small_strip_operands_match_naive(h, g):
+    m = shift_invariant(np.random.default_rng(30 + h), h, g)
+    for a, b in ((m, m), (m, m.T), (m.T, m)):
+        want = naive_matmul(a, block_circulant(b[:h]))
+        assert np.array_equal(want, naive_matmul(a, b))
+        assert np.array_equal(exact_matmul(a, b[:h]), want)
+        assert np.array_equal(exact_matmul(a[:h], b[:h]), want[:h])
+    check_strip_products(m, h)
+
+
+def test_strip_operand_overflow_guard():
+    # the strip's entries bound the product as the whole matrix's would
+    a = np.ones((6, 6), dtype=np.int64)
+    strip = np.zeros((2, 6), dtype=np.int64)
+    strip[1, 5] = 2**61
+    with pytest.raises(SizeBoundError):
+        exact_matmul(a, strip)
+    strip[1, 5] = 2**60
+    assert np.array_equal(exact_matmul(a, strip), int64_oracle(a, block_circulant(strip)))
+
+
+@pytest.mark.parametrize("n", [6, 128])
+@pytest.mark.parametrize("rows, short", [(0, 0), (5, 0), (2, 1), (5, 1)])
+def test_bad_strip_operands_raise_value_error(n, rows, short):
+    # an empty strip, a height that does not divide n, a width other than n
+    a = np.ones((n, n), dtype=np.int64)
+    with pytest.raises(ValueError) as err:
+        exact_matmul(a, np.ones((rows, n - short), dtype=np.int64))
+    assert not isinstance(err.value, SizeBoundError)
+
+
 def test_rectangular_operands_take_the_dense_route():
     rng = np.random.default_rng(19)
     m = shift_invariant(rng, 4, 64)
@@ -355,6 +422,13 @@ def test_products_keep_the_strip_of_their_period():
             first_rows = naive_matmul(a[:period], b) if period < 128 else want
             assert np.array_equal(strip, first_rows)
             assert np.array_equal(block_circulant(strip), want)
+
+
+def test_block_circulant_keeps_float_strips():
+    strip = np.array([[0.0, 1.0, 2.0, 3.0]], dtype=np.float32)
+    m = block_circulant(strip)
+    assert m.dtype == np.float32
+    assert np.array_equal(m, circulant([0, 1, 2, 3]))
 
 
 def test_block_circulant_keeps_bool_strips():

@@ -5,6 +5,8 @@ traced benchmark runs, so its install/uninstall contract is checked here."""
 import types
 from pathlib import Path
 
+import numpy as np
+
 from dezakit import finite_field, hadamard, matrix_core
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
@@ -40,3 +42,24 @@ def test_tracer_wraps_the_field_operations_and_restores_everything():
         assert vars(finite_field.FiniteField)[op] is original, op
     assert validators == [vars(cls)["__post_init__"] for cls in (
         matrix_core.Digraph, matrix_core.SignedMatrix, hadamard.HadamardMatrix)]
+
+
+def test_traced_strip_products_count_their_dense_work():
+    # a strip right operand stands for its n x n block-circulant matrix:
+    # 2 h n n flops, on BLAS, as the dense product it replaces
+    tracer = load_tracer()
+    n, h = 132, 4
+    strip = np.random.default_rng(5).integers(0, 2, (h, n))
+    t = tracer.Tracer()
+    try:
+        t.install()
+        matrix_core.exact_matmul(strip, strip)
+        products = matrix_core.Products(matrix_core.circulant(strip[0]))
+        products.gram_strip
+        metrics = t.metrics()
+    finally:
+        t.uninstall()
+    assert products.period == 1
+    assert metrics["matrix_core.matmul_calls"] == 2
+    assert metrics["matrix_core.matmul_gflop"] == (2 * h * n * n + 2 * 1 * n * n) / 1e9
+    assert metrics["matrix_core.matmul_blas_ratio"] == 1.0

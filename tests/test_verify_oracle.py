@@ -490,6 +490,49 @@ def test_verify_computes_each_product_once(tmp_path, capsys, matmul_calls):
     assert first and len(matmul_calls) == first
 
 
+def test_periodic_products_multiply_strips(matmul_calls):
+    # the twin part of order 496 has period 16: every product is one
+    # strip times another, and no operand is the whole matrix
+    pair, _ = dz.twin_directed(dz.sylvester(4))
+    part = pair.positive_part
+    assert verify.verify_type2(part).ok
+    verify.verify_ddd(part, pair.block_classes())
+    verify.verify_deza_digraph(part)
+    assert len(matmul_calls) == 3
+    assert all(shapes == ((16, 496), (16, 496)) for shapes in matmul_calls)
+
+
+def dense_regularity_witness(m: np.ndarray) -> str | None:
+    """The regularity witness from the degrees of all n vertices."""
+    out, into = m.sum(axis=1).tolist(), m.sum(axis=0).tolist()
+    for u, deg in enumerate(out):
+        if deg != out[0]:
+            return f"out-degrees not constant: vertex {u} has {deg}, vertex 0 has {out[0]}"
+    for v, deg in enumerate(into):
+        if deg != out[0]:
+            return f"in-degree of vertex {v} is {deg}, out-degree is {out[0]}"
+    return None
+
+
+@pytest.mark.parametrize("h, n, arcs", [
+    # out-degrees 2, 2, 3, 2 repeat with period 4
+    (4, 132, [(0, 5), (0, 9), (1, 6), (1, 10), (2, 3), (2, 7), (2, 11), (3, 4), (3, 8)]),
+    # out-degree 2, but columns 0, 1, 2 mod 3 hold 2, 1 and 3 arcs
+    (3, 129, [(0, 3), (0, 6), (1, 4), (1, 5), (2, 8), (2, 11)])])
+def test_regularity_witness_of_a_periodic_digraph(h, n, arcs):
+    strip = np.zeros((h, n), dtype=np.int64)
+    for u, v in arcs:
+        strip[u, v] = 1
+    d = dz.Digraph(block_circulant(strip))
+    assert d.n >= 128 and d.products.period == h
+    want = dense_regularity_witness(d.adjacency)
+    assert want and ("out-degrees" in want) == (h == 4)
+    for verifier in (verify.verify_deza_digraph, verify.verify_dsrg, verify.verify_type2):
+        assert verifier(d).witness == want
+    with pytest.raises(ValueError, match=f"line sums not constant: {want}"):
+        verify.verify_symmetric_design(d.adjacency)
+
+
 @pytest.fixture
 def period_calls(monkeypatch):
     """The orders of the matrices of every _shift_period call made from
