@@ -9,7 +9,6 @@ written), 2 usage error, 3 size bound exceeded.
 from __future__ import annotations
 
 import argparse
-import itertools
 import sys
 from dataclasses import replace
 from functools import cache
@@ -249,12 +248,10 @@ def _parse_params(text: str) -> DezaParams:
 def _cmd_search(args) -> int:
     params = _parse_params(args.params)
     hits = decompose_search.search_deza_digraphs(params, limit=args.limit)
-    if args.canonical_dedup and hits:
-        # the search yields the hits with hits[0]'s row 0 first, and every
-        # class has one there, so each class's first hit lies in that block
-        row0 = hits[0].adjacency[0]
+    if args.canonical_dedup:
+        # a relabelled hit shares its first-block hit's certificate
         unique: dict[bytes, Digraph] = {}
-        for d in itertools.takewhile(lambda h: np.array_equal(h.adjacency[0], row0), hits):
+        for d in hits:
             unique.setdefault(decompose_search.canonical_form(d), d)
         hits = list(unique.values())
     for d in hits:

@@ -159,7 +159,8 @@ def _search(n: int, k: int, t: int, allowed):
     and maps S0 onto S maps those hits one to one onto the hits with
     N+(0) = S; each later candidate's block is their image, sorted.
 
-    A lazy generator: callers take the first hits with itertools.islice.
+    A lazy generator of (M, j), j the index among the S0 hits of M or its
+    preimage: callers take the first hits with itertools.islice.
     """
     # the mutual arcs form a t-regular graph, so n * t is even (handshake lemma)
     if k > n - 1 or t > k or n * t % 2:
@@ -264,7 +265,7 @@ def _search(n: int, k: int, t: int, allowed):
     first = []  # rows of the hits with N+(0) = S0, in search order
     for m in backtrack():
         first.append(rows.copy())
-        yield m
+        yield m, len(first) - 1
     if not first:
         return
     block0 = ((np.array(first)[:, :, None] >> np.arange(n)) & 1).astype(np.uint8)
@@ -282,17 +283,20 @@ def _search(n: int, k: int, t: int, allowed):
         # ascending row-major bytes, the order the search would find them in
         packed = np.packbits(block.reshape(len(block), -1), axis=1)
         for i in np.lexsort(packed.T[::-1]):
-            yield block[i].astype(np.int64)
+            yield block[i].astype(np.int64), int(i)
 
 
 def _reverified(hits, verifier, params, accepted):
-    """Each hit as a Digraph, which the verifier must accept with a tuple in accepted."""
-    for m in hits:
+    """Each hit as a Digraph, which the verifier must accept with a tuple in
+    accepted; an image shares the certificate holder of its S0 preimage."""
+    holders: dict[int, list] = {}
+    for m, j in hits:
         d = Digraph(m)
         report = verifier(d)
         if not report.ok or report.params.as_tuple() not in accepted:
             raise RuntimeError(f"search hit does not re-verify as {params}: "
                                f"{report.witness or report.params}")
+        d.__dict__["_canonical"] = holders.setdefault(j, [None])  # fills the cached_property
         yield d
 
 
@@ -400,6 +404,11 @@ def _orbits(n: int, generators: list[list[int]], fixed: list[int]) -> list[int]:
     return label
 
 
+def _row_masks(a: np.ndarray) -> list[int]:
+    """Row u of the 0/1 matrix a as the int with bit v set iff a[u, v] = 1, at any order."""
+    return [int.from_bytes(row, "little") for row in np.packbits(a, axis=1, bitorder="little")]
+
+
 def canonical_form(d: Digraph) -> bytes:
     """A permutation-invariant certificate: the smallest row-major 0/1
     adjacency over the leaves of an individualisation-refinement search
@@ -408,13 +417,21 @@ def canonical_form(d: Digraph) -> bytes:
     each vertex of its first non-singleton cell; equal leaves give an
     automorphism, and a child in the orbit of a tried sibling under the
     automorphisms fixing the node's path is skipped.  Equal certificates
-    iff isomorphic; limited to order 10."""
+    iff isomorphic; limited to order 10.  Computed once per holder: a
+    relabelled search hit shares its first-block preimage's."""
+    holder = d._canonical
+    if holder[0] is None:
+        holder[0] = _certificate(d)
+    return holder[0]
+
+
+def _certificate(d: Digraph) -> bytes:
+    """canonical_form's certificate of d, computed afresh."""
     n = d.n
     if n > SEARCH_MAX_ORDER:
         raise SizeBoundError(f"canonical form is limited to order {SEARCH_MAX_ORDER}")
     a = d.adjacency
-    bit = 1 << np.arange(n, dtype=np.int64)
-    out, inn, rows = [int(x) for x in a @ bit], [int(x) for x in a.T @ bit], a.tolist()
+    out, inn, rows = _row_masks(a), _row_masks(a.T), a.tolist()
     leaves: dict[bytes, tuple[list[int], list[int]]] = {}  # certificate -> (labels, path)
     generators: list[list[int]] = []
     unwind = n  # an automorphism covers the current child of the node at this depth

@@ -199,8 +199,9 @@ class Digraph:
     Loops (diagonal ones) are rejected unless loops_allowed is set; the
     reflexive constructions are the only producers of loops.  products
     holds the strips of M^2, M M^t and M^t M that every verifier reads,
-    filled on first use and kept as long as the digraph; equality and
-    hashing ignore them.
+    filled on first use and kept as long as the digraph, and _canonical
+    the one-slot holder of its canonical form, which relabelled copies
+    may share; equality and hashing ignore both.
     """
 
     adjacency: np.ndarray
@@ -221,6 +222,8 @@ class Digraph:
     @cached_property
     def products(self) -> Products:
         return Products(self.adjacency)
+
+    _canonical = cached_property(lambda self: [None])
 
     def arcs(self):
         for u, v in zip(*np.nonzero(self.adjacency)):

@@ -1,6 +1,7 @@
 """Independent oracles for ``canonical_form``: brute force over every
-relabelling, networkx's VF2 matcher, and the orbit-stabiliser identity for
-labelled search counts.  Every random input is drawn from a fixed seed."""
+relabelling, networkx's VF2 matcher, the orbit-stabiliser identity for
+labelled search counts, and a fresh certificate for every search hit
+that shares one.  Every random input is drawn from a fixed seed."""
 
 import itertools
 import math
@@ -11,7 +12,8 @@ import pytest
 from networkx.algorithms.isomorphism import DiGraphMatcher
 
 import dezakit as dz
-from dezakit.decompose_search import canonical_form, search_deza_digraphs
+from dezakit import decompose_search
+from dezakit.decompose_search import _row_masks, canonical_form, search_deza_digraphs
 from dezakit.matrix_core import Digraph
 from dezakit.verify import DezaParams
 
@@ -125,3 +127,42 @@ def test_edgeless_and_complete_order_10():
     assert canonical_form(Digraph(j - np.eye(n, dtype=np.int64))) == \
         (j - np.eye(n, dtype=np.int64)).astype(np.uint8).tobytes()
     assert canonical_form(Digraph(j, loops_allowed=True)) == bytes([1]) * (n * n)
+
+
+@pytest.mark.parametrize("n", [64, 70])
+def test_row_masks_past_64_bits(n):
+    # an int64 bit sum wraps from order 64 on; the masks are Python ints
+    a = np.random.default_rng(n).integers(0, 2, (n, n))
+    for m in (a, a.T):
+        assert _row_masks(m) == [sum(1 << v for v in range(n) if m[u, v]) for u in range(n)]
+
+
+def fresh_form(d: Digraph) -> bytes:
+    """The certificate of a new digraph with d's adjacency: no shared holder."""
+    return canonical_form(Digraph(d.adjacency.copy()))
+
+
+@pytest.mark.parametrize("params", [(6, 2, 1, 0, 1), (7, 3, 2, 1, 0), (8, 3, 3, 1, 0)])
+def test_shared_certificates_equal_fresh_ones(params):
+    for d in search_deza_digraphs(DezaParams(*params)):
+        assert canonical_form(d) == fresh_form(d)
+
+
+def test_shared_certificates_equal_fresh_ones_dsrg(dsrg_catalogue_7):
+    for _, d in dsrg_catalogue_7:
+        assert canonical_form(d) == fresh_form(d)
+
+
+def test_certificate_computed_once_per_first_block_hit(monkeypatch):
+    calls = []
+    certificate = decompose_search._certificate
+    monkeypatch.setattr(decompose_search, "_certificate",
+                        lambda d: calls.append(d) or certificate(d))
+    n, k = 8, 3
+    hits = search_deza_digraphs(DezaParams(n, k, 3, 1, 0))
+    assert not calls
+    classes = {canonical_form(d) for d in hits}
+    first = [d for d in hits if d.adjacency[0].tolist() == [0] * (n - k) + [1] * k]
+    assert len(hits) == 1680 and len(calls) == len(first) == 48
+    assert {canonical_form(d) for d in hits} == classes  # cached: no more calls
+    assert len(calls) == 48

@@ -290,11 +290,11 @@ def test_search_matches_scan_per_arc_class(regular_scan):
                 pairs += [({0, 2}, {1}), ({1}, {0, 2})]
             for allowed in pairs:
                 expected = _scan_hits(regular_scan, n, k, t, allowed)
-                found = [m.tolist() for m in _search(n, k, t, allowed)]
+                found = [m.tolist() for m, _ in _search(n, k, t, allowed)]
                 assert found == expected, (n, k, t, allowed)
                 j = int(rng.integers(len(found) + 1))
                 head = itertools.islice(_search(n, k, t, allowed), j)
-                assert [m.tolist() for m in head] == found[:j]
+                assert [m.tolist() for m, _ in head] == found[:j]
                 hits += len(found)
                 empty += not found
     assert hits > 0 and empty > 0
@@ -309,7 +309,7 @@ def test_search_relabels_the_first_row_zero_block(params, count):
     cuts the same list."""
     n, k, b, a, t = params
     allowed = ({a, b}, {a, b})
-    hits = [m.tolist() for m in _search(n, k, t, allowed)]
+    hits = [m.tolist() for m, _ in _search(n, k, t, allowed)]
     assert len(hits) == count
     assert all(x < y for x, y in zip(hits, hits[1:]))
     row0 = collections.Counter(tuple(m[0]) for m in hits)
@@ -319,7 +319,7 @@ def test_search_relabels_the_first_row_zero_block(params, count):
     first = row0[tuple(hits[0][0])]
     for j in (first - 1, first, first + 1):
         head = itertools.islice(_search(n, k, t, allowed), j)
-        assert [m.tolist() for m in head] == hits[:j], j
+        assert [m.tolist() for m, _ in head] == hits[:j], j
 
 
 def test_search_sweep_to_order_seven_is_pinned():
@@ -334,7 +334,7 @@ def test_search_sweep_to_order_seven_is_pinned():
             for t, b in itertools.product(range(k + 1), repeat=2):
                 for a in range(b + 1):
                     for allowed in (({a, b}, {a, b}), ({a}, {b}), ({b}, {a})):
-                        for m in _search(n, k, t, allowed):
+                        for m, _ in _search(n, k, t, allowed):
                             digest.update(np.asarray(m, dtype=np.int64).tobytes())
                             count += 1
     assert count == 3384

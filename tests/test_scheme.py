@@ -154,7 +154,7 @@ def enumerate_two_class_schemes(n_max):
     """
     reps = {}
     for n, k, lam, mu in _srg_parameter_candidates(n_max):
-        for m in itertools.islice(_search(n, k, k, ({mu}, {lam})), 1):
+        for m, _ in itertools.islice(_search(n, k, k, ({mu}, {lam})), 1):
             key = ("srg", n, k, lam, mu)
             if key not in reps:
                 rest = ones(n) - identity(n) - m
@@ -162,7 +162,7 @@ def enumerate_two_class_schemes(n_max):
                 reps[key] = verify_scheme(mats)
     for n in (3, 7):
         t = (n - 3) // 4
-        for m in itertools.islice(_search(n, (n - 1) // 2, 0, ({t + 1}, {t})), 1):
+        for m, _ in itertools.islice(_search(n, (n - 1) // 2, 0, ({t + 1}, {t})), 1):
             key = ("drt", n)
             if key not in reps:
                 reps[key] = verify_scheme([identity(n), m, m.T])
