@@ -29,6 +29,7 @@ def empty_digraph(n: int) -> Digraph:
 def complete_digraph(n: int) -> Digraph:
     if n < 1:
         raise ValueError("need at least one vertex")
+    check_order(n)
     return Digraph(ones(n) - identity(n))
 
 
@@ -111,11 +112,10 @@ def _twin_pair(h: HadamardMatrix, sign: int) -> TwinPair:
     rows = h.matrix[list(range(n)) + list(range(n - 1, 0, -1))]
     signs = np.array([0] + [1] * (n - 1) + [sign] * (n - 1), dtype=np.int64)
     blocks = signs[:, None, None] * rows[:, :, None] * rows[:, None, :]
-    signed = SignedMatrix(block_circulant(
-        blocks.transpose(1, 0, 2).reshape(n, (2 * n - 1) * n)))
-    return TwinPair(signed,
-                    Digraph(signed.positive_part()),
-                    Digraph(signed.negative_part()),
+    strip = blocks.transpose(1, 0, 2).reshape(n, (2 * n - 1) * n)
+    return TwinPair(SignedMatrix(block_circulant(strip)),
+                    Digraph.from_strip(strip == 1),
+                    Digraph.from_strip(strip == -1),
                     h.matrix, n)
 
 
@@ -132,13 +132,15 @@ def twin_deza(h: HadamardMatrix) -> TwinPair:
 
 def siamese_reflexive(pair: TwinPair) -> tuple[Digraph, Digraph]:
     """Add the shared block-diagonal cliques I x C_1, C_1 from the pair's
-    own Hadamard matrix, to each twin part, producing two reflexive graphs."""
-    r0 = pair.hadamard[0]
-    c1 = np.outer(r0, r0).astype(np.int64)
-    shared = kronecker(identity(pair.signed.n // pair.block_order), c1)
-    ra = Digraph(pair.positive_part.adjacency + shared, loops_allowed=True)
-    rb = Digraph(pair.negative_part.adjacency + shared, loops_allowed=True)
-    return ra, rb
+    own Hadamard matrix, to each twin part, producing two reflexive graphs.
+
+    The parts are block-circulant with blocks of the pair's block order
+    n, so each is its first n rows, and I x C_1 is the strip [C_1 | O]."""
+    n, r0 = pair.block_order, pair.hadamard[0]
+    shared = np.zeros((n, pair.signed.n), dtype=np.int64)
+    shared[:, :n] = np.outer(r0, r0)
+    return tuple(Digraph.from_strip(part.adjacency[:n] + shared, loops_allowed=True)
+                 for part in (pair.positive_part, pair.negative_part))
 
 
 def twin_directed(h: HadamardMatrix) -> tuple[TwinPair, tuple[Digraph, Digraph]]:
@@ -274,7 +276,7 @@ def field_type2(field: FiniteField, alpha: Element) -> Digraph:
     blocks = {a: auxiliary_matrix(field, a, alpha) for a in _symbols(field)}
     blocks["x"] = zeros(q * q)
     strip = np.concatenate([blocks[a] for a in symbol_row(field)], axis=1)
-    return Digraph(block_circulant(strip))
+    return Digraph.from_strip(strip)
 
 
 @dataclass(frozen=True)

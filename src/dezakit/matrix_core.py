@@ -2,14 +2,16 @@
 
 Matrices are numpy arrays of dtype int64.  They are square, except for
 strips: the h x n first block row of a block-circulant matrix, which
-block_circulant expands.  Products finds the cyclic shift period of a
-matrix, once, and keeps its products as such strips; exact_matmul
-takes its right operand dense or as such a strip.  0/1 masks, such as
-the position matrices of the verifiers, are bool.  Every operation is
-pure and exact: no modular reduction, no floating-point rounding.  Large
-multiplies are routed through BLAS only when a proven bound guarantees
-that every intermediate value is an exactly representable integer: in
-float32 below 2^24, in float64 below 2^53.
+block_circulant expands.  Products keeps the products of a matrix as
+such strips, with the height of the strip Digraph.from_strip made it
+from, or else the cyclic shift period it finds once; exact_matmul
+takes its right operand dense or as such a strip, never expanded.  0/1
+masks, such as the position matrices of the verifiers, are bool.
+Every operation is pure and exact: no modular reduction, no
+floating-point rounding.  Large multiplies are routed through BLAS
+only when a proven bound guarantees that every intermediate value is
+an exactly representable integer: in float32 below 2^24, in float64
+below 2^53.
 """
 
 from __future__ import annotations
@@ -75,15 +77,19 @@ def is_zero_one(m: np.ndarray) -> bool:
 
 def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact integer product a B with an overflow guard: B is b, or
-    block_circulant(b) for an h x n strip b with n = a.shape[1] and h | n,
-    expanded only after b is cast to the type the product is made in.
+    block_circulant(b) for an h x n strip b with n = a.shape[1] and h | n.
 
     Every partial sum is bounded by n * max|a| * max|b| (a strip holds
     every value of B).  From n = _BLAS_MIN_ORDER on, BLAS multiplies in
     float32 when that bound is below 2^24 and in float64 below 2^53: every
     partial sum, in any order, FMA or not, is then an exact integer, so
     the result is bit-identical to integer arithmetic.  Otherwise the
-    int64 kernel is used.  Bounds beyond int64 raise SizeBoundError."""
+    int64 kernel is used.  Bounds beyond int64 raise SizeBoundError.
+
+    A strip is not expanded: block column c of B is its first block
+    column R (strip blocks S_(-r) mod g, g = n / h) rolled down by c
+    blocks, the n rows from (g - c) h of R written twice, and one batched
+    matmul of a with these g views gives the block columns of a B."""
     inner = a.shape[1]
     strip = b.shape[0] != inner
     if strip and b.shape[-1] != inner:
@@ -94,11 +100,22 @@ def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             f"matrix product may exceed the 64-bit entry range (bound {bound})"
         )
     blas = inner >= _BLAS_MIN_ORDER and bound < _FLOAT_EXACT_BOUND
-    if blas:
-        ftype = np.float32 if bound < _FLOAT32_EXACT_BOUND else np.float64
-        a, b = a.astype(ftype), b.astype(ftype)
-    c = a @ (block_circulant(b) if strip else b)
-    return np.rint(c).astype(np.int64) if blas else c
+    ftype = (np.float32 if bound < _FLOAT32_EXACT_BOUND else np.float64) if blas else np.int64
+    a = a.astype(ftype, order="C", copy=False)
+    if strip:
+        h = _strip_height(b)
+        g = inner // h
+        blocks = b.reshape(h, g, h).swapaxes(0, 1)  # blocks[k] = S_k
+        twice = np.empty((2, g, h, h), dtype=ftype)  # R = S_0, S_(g-1), ..., S_1, twice
+        twice[:, 0], twice[:, 1:] = blocks[0], blocks[:0:-1]
+        windows = np.lib.stride_tricks.sliding_window_view(
+            twice.reshape(2 * inner, h), inner, axis=0)
+        c = np.empty((a.shape[0], g, h), dtype=ftype)
+        np.matmul(a, windows[inner:0:-h].swapaxes(1, 2), out=c.swapaxes(0, 1))
+        c = c.reshape(a.shape[0], inner)
+    else:
+        c = a @ b.astype(ftype, order="C", copy=False)
+    return np.rint(c, out=c).astype(np.int64) if blas else c
 
 
 def _shift_period(m: np.ndarray) -> int:
@@ -121,6 +138,18 @@ def _shift_period(m: np.ndarray) -> int:
     return n
 
 
+def _strip_height(strip: np.ndarray) -> int:
+    """The height h of strip, after checking that it is a nonempty h x n
+    array with h | n and n within MAX_ORDER."""
+    if strip.ndim != 2 or strip.size == 0:
+        raise ValueError(f"strip must be a nonempty 2-D array, got shape {strip.shape}")
+    h, n = strip.shape
+    if n % h != 0:
+        raise ValueError(f"strip height {h} does not divide its width {n}")
+    check_order(n)
+    return h
+
+
 def block_circulant(strip) -> np.ndarray:
     """The n x n block-circulant matrix with first block row strip, an
     h x n array with h | n: block (r, c) is strip block (c - r) mod g,
@@ -132,12 +161,8 @@ def block_circulant(strip) -> np.ndarray:
     strip = np.asarray(strip)
     if strip.dtype.kind not in "bf":
         strip = strip.astype(np.int64, copy=False)
-    if strip.ndim != 2 or strip.size == 0:
-        raise ValueError(f"strip must be a nonempty 2-D array, got shape {strip.shape}")
-    h, n = strip.shape
-    if n % h != 0:
-        raise ValueError(f"strip height {h} does not divide its width {n}")
-    check_order(n)
+    h = _strip_height(strip)
+    n = strip.shape[1]
     if h == n:
         return strip
     windows = np.lib.stride_tricks.sliding_window_view(
@@ -168,17 +193,21 @@ class Products:
     write to them.  Digraph.products is the one place that makes them.
 
     m and m^t are invariant under the same cyclic index shifts, so each
-    product is block-circulant with the shift period h of m (n when m
-    has none or n < _BLAS_MIN_ORDER).  A Products finds h, its period,
-    when it is made, and no other code looks for it.  Each product is
+    product is block-circulant with any shift period h of m: the given
+    one, the strip height of a Digraph.from_strip, or else the smallest,
+    which a Products finds when it is made (n when m has none or n <
+    _BLAS_MIN_ORDER), and no other code looks for it.  Each product is
     kept only as its first h rows, the exact_matmul of the first h rows
-    (strip and co_strip) of m and m^t; block_circulant expands a strip."""
+    (strip and co_strip, views) of m and m^t; block_circulant expands a
+    strip."""
 
-    def __init__(self, m: np.ndarray):
+    def __init__(self, m: np.ndarray, period: int | None = None):
         n = m.shape[0]
         self.m = m
-        self.period = _shift_period(m) if n >= _BLAS_MIN_ORDER else n
-        self.strip, self.co_strip = m[:self.period], m.T[:self.period]
+        if period is None:
+            period = _shift_period(m) if n >= _BLAS_MIN_ORDER else n
+        self.period = period
+        self.strip, self.co_strip = m[:period], m.T[:period]
 
     square_strip = cached_property(lambda self: exact_matmul(self.strip, self.strip))
     gram_strip = cached_property(lambda self: exact_matmul(self.strip, self.co_strip))
@@ -201,11 +230,13 @@ class Digraph:
     holds the strips of M^2, M M^t and M^t M that every verifier reads,
     filled on first use and kept as long as the digraph, and _canonical
     the one-slot holder of its canonical form, which relabelled copies
-    may share; equality and hashing ignore both.
+    may share; equality and hashing ignore both, and _period, the strip
+    height of a digraph made by from_strip.
     """
 
     adjacency: np.ndarray
     loops_allowed: bool = False
+    _period = None
 
     def __post_init__(self):
         m = _frozen(self.adjacency)
@@ -215,13 +246,36 @@ class Digraph:
             raise ValueError("loops present but loops_allowed is False")
         object.__setattr__(self, "adjacency", m)
 
+    @classmethod
+    def from_strip(cls, strip, loops_allowed: bool = False) -> Digraph:
+        """The digraph with adjacency block_circulant(strip), for an h x n
+        0/1 strip with h | n, checked on the strip alone: every entry of
+        the matrix is a strip entry, and its diagonal repeats that of the
+        strip's first block.  The matrix is the one n x n array made, and
+        its products take h as their period without a search."""
+        s = np.asarray(strip, dtype=np.int64)
+        h = _strip_height(s)
+        if not is_zero_one(s):
+            raise ValueError("adjacency entries must be 0 or 1")
+        if not loops_allowed and s[:, :h].trace() != 0:
+            raise ValueError("loops present but loops_allowed is False")
+        m = block_circulant(s)
+        if m is s:
+            m = m.copy()
+        m.setflags(write=False)
+        d = object.__new__(cls)
+        for name, value in (("adjacency", m), ("loops_allowed", loops_allowed),
+                            ("_period", h)):
+            object.__setattr__(d, name, value)
+        return d
+
     @property
     def n(self) -> int:
         return self.adjacency.shape[0]
 
     @cached_property
     def products(self) -> Products:
-        return Products(self.adjacency)
+        return Products(self.adjacency, self._period)
 
     _canonical = cached_property(lambda self: [None])
 
@@ -253,9 +307,3 @@ class SignedMatrix:
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
-
-    def positive_part(self) -> np.ndarray:
-        return (self.matrix == 1).astype(np.int64)
-
-    def negative_part(self) -> np.ndarray:
-        return (self.matrix == -1).astype(np.int64)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,10 @@ from dezakit.construct import (auxiliary_matrix, check_construction_identities,
                                twin_directed)
 from dezakit.finite_field import quadratic_character_matrix
 from dezakit.hadamard import normalize, paley_skew, sylvester
-from dezakit.matrix_core import (MAX_ORDER, Digraph, SizeBoundError, circulant,
-                                 identity, kronecker, ones)
+from dezakit import construct, verify
+from dezakit.fileio import report_to_dict
+from dezakit.matrix_core import (MAX_ORDER, Digraph, SizeBoundError, block_circulant,
+                                 circulant, identity, kronecker, ones)
 from dezakit.verify import (DezaParams, DsrgParams, verify_ddd,
                             verify_deza_digraph, verify_deza_graph,
                             verify_dsrg, verify_type2)
@@ -205,6 +209,73 @@ def test_constructions_reject_orders_above_the_bound():
     for build in cases:
         with pytest.raises(SizeBoundError, match="exceeds the bound"):
             build()
+
+
+def test_complete_digraph_checks_the_order_before_allocating(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"allocated an order-{n} matrix")
+
+    monkeypatch.setattr(construct, "ones", refuse)
+    monkeypatch.setattr(construct, "identity", refuse)
+    with pytest.raises(SizeBoundError, match="exceeds the bound"):
+        dz.complete_digraph(MAX_ORDER + 1)
+
+
+def verifier_reports(d, classes):
+    """Every verifier's report on d as a dict, or the message of the
+    ValueError it raised; position matrices as bytes, which the dict
+    would hold as nested lists."""
+    runs = (verify.verify_deza_digraph, verify.verify_type2, verify.verify_dsrg,
+            lambda d: verify.verify_deza_graph(d, reflexive=d.loops_allowed),
+            verify.verify_reflexive_directed_deza, verify.verify_symmetric_design,
+            lambda d: verify.verify_ddd(d, classes), verify.discover_ddd_partition)
+    reports = []
+    for run in runs:
+        try:
+            rep = run(d)
+        except ValueError as exc:
+            reports.append(str(exc))
+            continue
+        if isinstance(rep, verify.VerificationReport):
+            reports.append([None if x is None else x.tobytes()
+                            for x in (rep.x_positions, rep.y_positions)])
+            rep = replace(rep, x_positions=None, y_positions=None)
+        reports.append(report_to_dict(rep))
+    return reports
+
+
+def check_strip_built(d, h, dense=None):
+    """d, made from its h x n strip, is the digraph of the expanded strip
+    (and of the dense construction, when given) to every verifier."""
+    ref = Digraph(block_circulant(d.adjacency[:h]), loops_allowed=d.loops_allowed)
+    assert d == ref and hash(d) == hash(ref)
+    assert dense is None or (d == dense and hash(d) == hash(dense))
+    assert d.products.period == h
+    classes = [list(range(i, i + h)) for i in range(0, d.n, h)]
+    assert verifier_reports(d, classes) == verifier_reports(ref, classes)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4], ids=["n2", "n4", "n8", "n16"])
+def test_twins_and_siamese_pairs_from_their_strips(k):
+    h = sylvester(k)
+    n = h.order
+    shared = kronecker(identity(2 * n - 1), np.outer(h.matrix[0], h.matrix[0]))
+    for pair in (twin_deza(h), twin_directed(h)[0]):
+        parts = (pair.positive_part, pair.negative_part)
+        for part, sign in zip(parts, (1, -1)):
+            check_strip_built(part, n, Digraph((pair.signed.matrix == sign).astype(np.int64)))
+        for refl, part in zip(siamese_reflexive(pair), parts):
+            check_strip_built(refl, n, Digraph(part.adjacency + shared, loops_allowed=True))
+
+
+@pytest.mark.parametrize("p,m", [(3, 1), (5, 1), (7, 1), (3, 2)],
+                         ids=["q3", "q5", "q7", "q9"])
+def test_field_type2_from_its_strip(p, m):
+    # test_field_type2_matches_kron_sum compares the matrices with the
+    # dense construction
+    f = dz.make_field(p, m)
+    for alpha in f.elements:
+        check_strip_built(field_type2(f, alpha), f.q ** 2)
 
 
 def test_twin_requires_normalized():

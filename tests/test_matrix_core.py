@@ -228,8 +228,11 @@ def test_digraph_arcs():
 
 
 def test_signed_matrix_parts():
-    s = SignedMatrix(np.array([[0, 1], [-1, 0]], dtype=np.int64))
-    assert np.array_equal(s.positive_part() - s.negative_part(), s.matrix)
+    # a twin pair's parts are the +1 and -1 entries of its signed matrix
+    pair = construct.twin_directed(hadamard.sylvester(2))[0]
+    pos, neg = pair.positive_part.adjacency, pair.negative_part.adjacency
+    assert np.array_equal(pos, pair.signed.matrix == 1)
+    assert np.array_equal(pos - neg, pair.signed.matrix)
     with pytest.raises(ValueError):
         SignedMatrix(np.array([[0, 2], [0, 0]], dtype=np.int64))
 
@@ -438,3 +441,114 @@ def test_block_circulant_keeps_bool_strips():
     assert np.array_equal(m, block_circulant(strip.astype(np.int64)))
     # a full-height strip is already the matrix
     assert block_circulant(m) is m
+
+
+def kernel_operands(h, g, rows, bmax, edge, side, seed):
+    """A signed rows x n left operand and h x n strip whose bound
+    n * max|a| * max|b| lies just below edge, or above it, with a corner
+    entry bound - max|a| of the product that is then above edge too: row
+    0 of a is max|a|, odd, and column 0 of the block-circulant B, which
+    holds the first column of every strip block, sums to n * max|b| - 1,
+    odd for even n * max|b|."""
+    n = h * g
+    if side == "below":
+        amax = (edge - 1) // (n * bmax)
+        amax -= 1 - amax % 2
+    else:
+        amax = edge // (n * bmax - 1) + 1
+        amax += 1 - amax % 2
+    rng = np.random.default_rng(seed)
+    a = rng.integers(-amax, amax + 1, (rows, n))
+    b = rng.integers(-bmax, bmax + 1, (h, n))
+    a[0] = amax
+    b[:, ::h] = bmax
+    b[0, 0] = bmax - 1
+    return a, b
+
+
+@pytest.mark.parametrize("h, g, rows, bmax, edge, side, route", [
+    (3, 4, 5, 3, 2**10, "below", "int64"),          # n < 128
+    (1, 9, 2, 4, 2**10, "below", "int64"),          # a circulant, n < 128
+    (6, 2, 1, 3, 2**10, "below", "int64"),          # g = 2, n < 128
+    (1, 131, 2, 4, 2**24, "below", "float32"),      # a circulant
+    (1, 131, 2, 4, 2**24, "above", "float64"),
+    (64, 2, 3, 5, 2**24, "below", "float32"),       # g = 2
+    (64, 2, 3, 5, 2**24, "above", "float64"),
+    (4, 40, 7, 2**20, 2**53, "below", "float64"),
+    (4, 40, 7, 2**20, 2**53, "above", "int64"),
+    (16, 9, 16, 2**20, 2**53, "above", "int64"),    # as many rows as the strip
+])
+def test_strip_kernel_matches_the_expanded_product(h, g, rows, bmax, edge, side, route):
+    a, b = kernel_operands(h, g, rows, bmax, edge, side, h * g + rows)
+    n = h * g
+    bound = n * max_abs(a) * max_abs(b)
+    assert (bound < edge) == (side == "below") and bound < 2**63
+    if n >= 128:
+        assert route == ("float32" if bound < 2**24 else "float64" if bound < 2**53
+                         else "int64")
+    dense = block_circulant(b)
+    want = naive_matmul(a, dense)
+    corner = bound - max_abs(a)
+    assert want[0, 0] == corner and corner % 2 == 1
+    if side == "above":
+        # odd and past the edge: the type one tier narrower would round it
+        narrower = np.float32 if edge == 2**24 else np.float64
+        assert corner > edge and int(narrower(corner)) != corner
+    got = exact_matmul(a, b)
+    assert got.dtype == np.int64 and got.shape == (rows, n)
+    assert np.array_equal(got, want)
+    assert np.array_equal(exact_matmul(a, dense), want)
+
+
+def test_from_strip_is_the_expanded_digraph():
+    rng = np.random.default_rng(40)
+    for h, g in ((1, 7), (3, 4), (8, 1), (4, 33)):
+        strip = rng.integers(0, 2, (h, h * g))
+        strip[:, :h][np.eye(h, dtype=bool)] = 0
+        d = Digraph.from_strip(strip)
+        ref = Digraph(block_circulant(strip))
+        assert d == ref and hash(d) == hash(ref) and repr(d) == repr(ref)
+        assert d.adjacency.dtype == np.int64 and not d.adjacency.flags.writeable
+        # the period is the strip height, with no search; the strips are
+        # views of the one adjacency
+        assert d.products.period == h
+        assert np.shares_memory(d.products.strip, d.adjacency)
+        assert np.shares_memory(d.products.co_strip, d.adjacency)
+        assert np.array_equal(block_circulant(d.products.square_strip),
+                              int64_oracle(ref.adjacency, ref.adjacency))
+        # the digraph keeps no reference to the caller's strip
+        strip[0, -1] ^= 1
+        assert d == ref
+
+
+def test_from_strip_accepts_bool_strips_and_loops_when_allowed():
+    strip = np.array([[True, True, False, False], [False, True, True, False]])
+    d = Digraph.from_strip(strip, loops_allowed=True)
+    assert d == Digraph(block_circulant(strip.astype(np.int64)), loops_allowed=True)
+    assert d.loops_allowed and d.products.period == 2
+
+
+@pytest.mark.parametrize("strip", [
+    [[0, 2, 0, 0]],               # an entry other than 0/1
+    [[0, -1, 0, 0]],
+    [[0, 1, 1, 0], [0, 1, 0, 0]],  # a loop at vertex 1: S_0[1, 1]
+    [[1, 0, 0]],                  # a loop at every vertex of a circulant
+])
+def test_from_strip_rejects_with_the_digraph_messages(strip):
+    strip = np.array(strip)
+    with pytest.raises(ValueError) as dense:
+        Digraph(block_circulant(strip))
+    with pytest.raises(ValueError) as from_strip:
+        Digraph.from_strip(strip)
+    assert str(from_strip.value) == str(dense.value)
+
+
+@pytest.mark.parametrize("shape", [(0, 4), (3, 4), (2, 3, 4)])
+def test_from_strip_rejects_bad_shapes(shape):
+    with pytest.raises(ValueError):
+        Digraph.from_strip(np.zeros(shape, dtype=np.int64))
+
+
+def test_from_strip_checks_the_order_before_expanding():
+    with pytest.raises(SizeBoundError, match="exceeds the bound"):
+        Digraph.from_strip(np.zeros((1, MAX_ORDER + 1), dtype=np.int64))

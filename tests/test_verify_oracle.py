@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import dezakit as dz
 from dezakit import cli, fileio, matrix_core, verify
 from dezakit.fileio import report_to_dict
-from dezakit.matrix_core import Products, _shift_period, block_circulant
+from dezakit.matrix_core import Digraph, Products, _shift_period, block_circulant
 from dezakit.verify import (NOT_MEMBER, DddParams, DesignParams, DezaGraphParams,
                             DezaParams, DsrgParams, ReflexiveReport, StatisticSummary,
                             VerificationReport)
@@ -556,9 +556,13 @@ def test_the_shift_period_is_found_once_per_matrix(tmp_path, capsys, period_call
     period_calls.clear()
     assert cli.main(["verify", path]) == 0
     assert period_calls == [136]
-    # a twin part of period 16: the Gram strips need no second search
+    # a twin part is made from its strip, whose height 16 is the period:
+    # no search at all; a dense copy of it is searched once, for all products
     part = dz.twin_directed(dz.sylvester(4))[0].positive_part
+    dense = Digraph(part.adjacency)
     period_calls.clear()
-    assert verify.verify_type2(part).ok
+    assert verify.verify_type2(part).ok and part.products.period == 16
+    assert period_calls == []
+    assert verify.verify_type2(dense).ok and dense.products.period == 16
     assert period_calls == [496]
 
