@@ -159,8 +159,10 @@ def _search(n: int, k: int, t: int, allowed):
     and maps S0 onto S maps those hits one to one onto the hits with
     N+(0) = S; each later candidate's block is their image, sorted.
 
-    A lazy generator of (M, j), j the index among the S0 hits of M or its
-    preimage: callers take the first hits with itertools.islice.
+    A lazy generator of (stack, js): an int64 stack of hits in order and
+    the index of each hit, or of its preimage, among the S0 hits.  An S0
+    hit is a stack of one, so islice stops at the last hit taken; a later
+    candidate's image block is one stack.
     """
     # the mutual arcs form a t-regular graph, so n * t is even (handshake lemma)
     if k > n - 1 or t > k or n * t % 2:
@@ -265,7 +267,7 @@ def _search(n: int, k: int, t: int, allowed):
     first = []  # rows of the hits with N+(0) = S0, in search order
     for m in backtrack():
         first.append(rows.copy())
-        yield m, len(first) - 1
+        yield m[None], [len(first) - 1]
     if not first:
         return
     block0 = ((np.array(first)[:, :, None] >> np.arange(n)) & 1).astype(np.uint8)
@@ -282,33 +284,46 @@ def _search(n: int, k: int, t: int, allowed):
         block = block0[:, src[:, None], src]
         # ascending row-major bytes, the order the search would find them in
         packed = np.packbits(block.reshape(len(block), -1), axis=1)
-        for i in np.lexsort(packed.T[::-1]):
-            yield block[i].astype(np.int64), int(i)
+        js = np.lexsort(packed.T[::-1])
+        yield block[js].astype(np.int64), js.tolist()
 
 
-def _reverified(hits, verifier, params, accepted):
-    """Each hit as a Digraph, which the verifier must accept with a tuple in
-    accepted; an image shares the certificate holder of its S0 preimage."""
+def _satisfies(ms: np.ndarray, k: int, t: int, allowed) -> np.ndarray:
+    """Per matrix of the int64 stack ms, whether it meets _search's
+    conditions, read without its rule tables or relabelling: 0/1, no
+    loops, every row and column sum k, and its square, computed afresh,
+    t on the diagonal and off it in allowed[1] on arcs, allowed[0] else."""
+    sq = np.matmul(ms, ms)  # exact for a 0/1 stack: entries at most n
+    eye = np.eye(ms.shape[1], dtype=bool)
+    cells = np.where(eye, sq == t, np.where(ms == 1, np.isin(sq, list(allowed[1])),
+                                            np.isin(sq, list(allowed[0]))))
+    return (cells.all(axis=(1, 2)) & ((ms == 0) | (ms == 1)).all(axis=(1, 2))
+            & ~(ms & eye).any(axis=(1, 2))
+            & (ms.sum(axis=1) == k).all(axis=1) & (ms.sum(axis=2) == k).all(axis=1))
+
+
+def _reverified(params, n: int, k: int, t: int, allowed):
+    """Each hit of _search as a Digraph, once _satisfies accepts its whole
+    stack; an image shares the certificate holder of its S0 preimage."""
     holders: dict[int, list] = {}
-    for m, j in hits:
-        d = Digraph(m)
-        report = verifier(d)
-        if not report.ok or report.params.as_tuple() not in accepted:
+    for ms, js in _search(n, k, t, allowed):
+        ok = _satisfies(ms, k, t, allowed)
+        if not ok.all():
             raise RuntimeError(f"search hit does not re-verify as {params}: "
-                               f"{report.witness or report.params}")
-        d.__dict__["_canonical"] = holders.setdefault(j, [None])  # fills the cached_property
-        yield d
+                               f"{ms[ok.argmin()].tolist()}")
+        for m, j in zip(ms, js):
+            d = Digraph(m)
+            d.__dict__["_canonical"] = holders.setdefault(j, [None])  # fills the cached_property
+            yield d
 
 
 def search_deza_digraphs(params: DezaParams, limit: int | None = None) -> list[Digraph]:
     """All loop-free digraphs with the given directed Deza parameters, in
-    ascending adjacency order (up to limit).  Every hit re-verifies."""
+    ascending adjacency order (up to limit).  _satisfies re-checks every hit."""
     check_invariants(params)
     n, k, b, a, t = params.as_tuple()
     _check_search(n, limit)
-    hits = itertools.islice(_search(n, k, t, ({a, b}, {a, b})), limit)
-    return list(_reverified(hits, verify_deza_digraph, params,
-                            {(n, k, b, a, t), (n, k, b, b, t), (n, k, a, a, t)}))
+    return list(itertools.islice(_reverified(params, n, k, t, ({a, b}, {a, b})), limit))
 
 
 def dsrg_spectral_feasible(n: int, k: int, lam: int, mu: int, t: int) -> bool:
@@ -347,9 +362,9 @@ def search_dsrg(n_max: int, require_lambda_eq_mu: bool = False) -> list[tuple[Ds
     """Enumerate DSRGs with t < k up to order n_max by backtracking.
 
     Parameter tuples are pre-filtered by the forced row-sum identity
-    lam*k + mu*(n-1-k) = k^2 - t; every emitted digraph passes
-    verify_dsrg.  Deterministic order: by (n, k, t, lam), then by
-    adjacency."""
+    lam*k + mu*(n-1-k) = k^2 - t; _satisfies re-checks every emitted
+    digraph against its tuple.  Deterministic order: by (n, k, t, lam),
+    then by adjacency."""
     _check_search(n_max)
     found = []
     for n in range(2, n_max + 1):
@@ -368,9 +383,8 @@ def search_dsrg(n_max: int, require_lambda_eq_mu: bool = False) -> list[tuple[Ds
                     if not dsrg_spectral_feasible(n, k, lam, mu, t):
                         continue
                     params = DsrgParams(n, k, lam, mu, t)
-                    hits = _search(n, k, t, ({mu}, {lam}))
-                    found += [(params, d) for d in _reverified(
-                        hits, verify_dsrg, params, {params.as_tuple()})]
+                    hits = _reverified(params, n, k, t, ({mu}, {lam}))
+                    found += [(params, d) for d in hits]
     return found
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .matrix_core import Digraph, as_int_matrix
+from .matrix_core import MAX_ORDER, Digraph, SizeBoundError, as_int_matrix, check_order
 
 ALPHABETS = {"binary": {0, 1}, "signed": {-1, 0, 1}}
 
@@ -111,6 +111,13 @@ def _scan_matrix(text: str) -> np.ndarray:
 
 def read_matrix(path) -> np.ndarray:
     data = Path(path).read_bytes()
+    end = data.find(b"\n")
+    # the header's order is bounded before any row is parsed or allocated
+    head = data[:end if end >= 0 else None].split(b"\r", 1)[0].split()
+    digits = head[0].lstrip(b"0") if head and head[0].isdigit() else b""
+    if len(digits) > 9:  # far over the bound; int() refuses the longest runs
+        raise SizeBoundError(f"order of {len(digits)} digits exceeds the bound {MAX_ORDER}")
+    check_order(int(digits or b"0"))
     m = _read_canonical(data)
     if m is None:
         # the newline translation that reading in text mode would apply

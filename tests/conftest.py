@@ -9,6 +9,7 @@ import pytest
 from hypothesis import settings
 
 import dezakit as dz
+from dezakit.decompose_search import _search
 
 # the same examples on every run, and no wall-clock deadline to trip on
 settings.register_profile("deterministic", derandomize=True, deadline=None)
@@ -126,3 +127,11 @@ def kronecker_rep(field, a) -> np.ndarray:
 def two_path_count(m: np.ndarray, u: int, v: int) -> int:
     """|{w : u -> w -> v}| counted directly from arcs."""
     return sum(1 for w in range(m.shape[0]) if m[u, w] and m[w, v])
+
+
+def search_hits(n: int, k: int, t: int, allowed):
+    """The hits of decompose_search._search one at a time, as (matrix,
+    index of it or its preimage among the first-block hits), flattened
+    from its stacks in order; lazy, so islice stops the search."""
+    for ms, js in _search(n, k, t, allowed):
+        yield from zip(ms, js)

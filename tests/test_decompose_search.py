@@ -7,12 +7,15 @@ import numpy as np
 import pytest
 
 import dezakit as dz
-from dezakit.decompose_search import (_quotient_certificate, _search, canonical_form,
+from dezakit.decompose_search import (_quotient_certificate, _satisfies, canonical_form,
                                       decompose_b_eq_t, decompose_type2_b_eq_k,
                                       dsrg_spectral_feasible,
                                       search_deza_digraphs, search_dsrg)
 from dezakit.matrix_core import Digraph, SizeBoundError, identity, kronecker, ones
-from dezakit.verify import DezaParams, verify_deza_digraph, verify_dsrg
+from dezakit.verify import DezaParams, DsrgParams, verify_deza_digraph, verify_dsrg
+
+from conftest import search_hits
+
 
 def adjacency_tuple(d):
     return tuple(int(x) for x in d.adjacency.reshape(-1))
@@ -290,10 +293,10 @@ def test_search_matches_scan_per_arc_class(regular_scan):
                 pairs += [({0, 2}, {1}), ({1}, {0, 2})]
             for allowed in pairs:
                 expected = _scan_hits(regular_scan, n, k, t, allowed)
-                found = [m.tolist() for m, _ in _search(n, k, t, allowed)]
+                found = [m.tolist() for m, _ in search_hits(n, k, t, allowed)]
                 assert found == expected, (n, k, t, allowed)
                 j = int(rng.integers(len(found) + 1))
-                head = itertools.islice(_search(n, k, t, allowed), j)
+                head = itertools.islice(search_hits(n, k, t, allowed), j)
                 assert [m.tolist() for m, _ in head] == found[:j]
                 hits += len(found)
                 empty += not found
@@ -309,7 +312,7 @@ def test_search_relabels_the_first_row_zero_block(params, count):
     cuts the same list."""
     n, k, b, a, t = params
     allowed = ({a, b}, {a, b})
-    hits = [m.tolist() for m, _ in _search(n, k, t, allowed)]
+    hits = [m.tolist() for m, _ in search_hits(n, k, t, allowed)]
     assert len(hits) == count
     assert all(x < y for x, y in zip(hits, hits[1:]))
     row0 = collections.Counter(tuple(m[0]) for m in hits)
@@ -318,15 +321,34 @@ def test_search_relabels_the_first_row_zero_block(params, count):
     assert hits[0][0] == [0] * (n - k) + [1] * k
     first = row0[tuple(hits[0][0])]
     for j in (first - 1, first, first + 1):
-        head = itertools.islice(_search(n, k, t, allowed), j)
+        head = itertools.islice(search_hits(n, k, t, allowed), j)
         assert [m.tolist() for m, _ in head] == hits[:j], j
+
+
+def _verifiers_accept(m, params) -> bool:
+    """Whether the public verifier accepts m as params: verify_dsrg with
+    exactly the DSRG tuple, or verify_deza_digraph with the Deza tuple or
+    the a = b tuple of either value.  The rule the searches' block check
+    must match."""
+    try:
+        d = Digraph(m)
+    except ValueError:  # an entry not 0 or 1, or a loop
+        return False
+    if isinstance(params, DsrgParams):
+        report = verify_dsrg(d)
+        return report.ok and report.params == params
+    n, k, b, a, t = params.as_tuple()
+    report = verify_deza_digraph(d)
+    return report.ok and report.params.as_tuple() in {(n, k, b, a, t), (n, k, b, b, t),
+                                                      (n, k, a, a, t)}
 
 
 def test_search_sweep_to_order_seven_is_pinned():
     """Every hit of _search for n = 2..7, k < n, t <= k, a <= b <= k and
     the value sets ({a,b},{a,b}), ({a},{b}), ({b},{a}), hashed in yield
     order.  The scan oracles stop at order 6; this pins order 7 too, and
-    the order of the hits, against a digest recorded from the search."""
+    the order of the hits, against a digest recorded from the search.
+    verify_deza_digraph accepts every hit as (n, k, b, a, t)."""
     digest = hashlib.sha256()
     count = 0
     for n in range(2, 8):
@@ -334,8 +356,9 @@ def test_search_sweep_to_order_seven_is_pinned():
             for t, b in itertools.product(range(k + 1), repeat=2):
                 for a in range(b + 1):
                     for allowed in (({a, b}, {a, b}), ({a}, {b}), ({b}, {a})):
-                        for m, _ in _search(n, k, t, allowed):
+                        for m, _ in search_hits(n, k, t, allowed):
                             digest.update(np.asarray(m, dtype=np.int64).tobytes())
+                            assert _verifiers_accept(m, DezaParams(n, k, b, a, t))
                             count += 1
     assert count == 3384
     assert digest.hexdigest() == \
@@ -356,7 +379,7 @@ def test_search_prunes_odd_handshake():
     # feasibility() admits (7,4,3,2,3) all the same
     assert dz.feasibility(DezaParams(7, 4, 3, 2, 3)).feasible
     assert search_deza_digraphs(DezaParams(7, 4, 3, 2, 3)) == []
-    assert list(_search(5, 2, 1, ({0}, {1}))) == []
+    assert list(search_hits(5, 2, 1, ({0}, {1}))) == []
 
 
 def test_search_checks_arguments_before_parity():
@@ -385,9 +408,60 @@ def test_search_dsrg_small_catalogue(dsrg_catalogue_7):
     tuples = {p.as_tuple() for p, _ in dsrg_catalogue_7}
     assert (6, 2, 0, 1, 1) in tuples
     assert (7, 3, 1, 2, 0) in tuples
-    for p, d in dsrg_catalogue_7[:25]:
-        rep = verify_dsrg(d)
-        assert rep.ok and rep.params == p
+    for p, d in dsrg_catalogue_7:
+        assert _verifiers_accept(d.adjacency, p)
+
+
+def _block_check_cases():
+    """(params, k, t, allowed, hits) for every Deza tuple with hits at
+    orders 4 to 6 and b <= 2, and every DSRG tuple of search_dsrg(6)."""
+    for n in range(4, 7):
+        for k, b, t in itertools.product(range(n), range(3), range(n)):
+            for a in range(b + 1):
+                params = DezaParams(n, k, b, a, t)
+                if k < b or k < t:
+                    continue
+                hits = [d.adjacency for d in search_deza_digraphs(params)]
+                if hits:
+                    yield params, k, t, ({a, b}, {a, b}), hits
+    catalogue = collections.defaultdict(list)
+    for p, d in search_dsrg(6):
+        catalogue[p].append(d.adjacency)
+    for p, hits in catalogue.items():
+        yield p, p.k, p.t, ({p.mu}, {p.lam}), hits
+
+
+def test_block_check_agrees_with_the_verifiers():
+    """_satisfies accepts a matrix of a seeded random stack exactly when
+    the public verifier accepts it with the searched tuple.  A stack holds
+    real hits, relabelled hits, every one-entry flip of a hit, loop-free
+    matrices with k ones per row or per column, loop-free random 0/1
+    matrices and a k-regular circulant with loops."""
+    rng = np.random.default_rng(24)
+    verdicts = collections.Counter()
+    for params, k, t, allowed, hits in _block_check_cases():
+        n = hits[0].shape[0]
+        picks = [hits[i] for i in rng.choice(len(hits), min(len(hits), 2), replace=False)]
+        # a circulant with every row and column sum k and, for k > 0, loops
+        stack = [((np.arange(n) - np.arange(n)[:, None]) % n < k).astype(np.int64), *picks]
+        for m in picks:
+            perm = rng.permutation(n)
+            stack.append(m[np.ix_(perm, perm)])
+            for u, v in itertools.product(range(n), repeat=2):
+                flip = m.copy()
+                flip[u, v] ^= 1
+                stack.append(flip)
+        for _ in range(6):
+            rows = np.zeros((n, n), dtype=np.int64)
+            for u in range(n):
+                rows[u, rng.choice([v for v in range(n) if v != u], k, replace=False)] = 1
+            stack += [rows, rows.T]
+            stack.append(rng.integers(0, 2, (n, n)) * (1 - np.eye(n, dtype=np.int64)))
+        stack = np.array(stack)
+        expected = [_verifiers_accept(m, params) for m in stack]
+        assert _satisfies(stack, k, t, allowed).tolist() == expected, params
+        verdicts.update(expected)
+    assert verdicts[True] > 100 and verdicts[False] > 1000, verdicts
 
 
 def test_search_dsrg_contains_tournament(dsrg_catalogue_7):

@@ -14,7 +14,7 @@ from dezakit.fileio import (MatrixParseError, _digraph6_order_bytes, _matrix_tex
                             _scan_matrix, load_report, read_digraph,
                             read_matrix, to_digraph6, to_dot, write_matrix,
                             write_report)
-from dezakit.matrix_core import Digraph
+from dezakit.matrix_core import MAX_ORDER, Digraph
 
 from conftest import (DEZA_8_3_3_1_0, DEZA_8_4_3_1_1, NORMALIZED_HADAMARD_4,
                       SKEW_HADAMARD_4)
@@ -486,11 +486,25 @@ def test_cli_huge_q_rejected_before_factoring(tmp_path, capsys):
 
 
 def test_cli_short_file_with_large_header(tmp_path, capsys):
-    # order 50,000 would be a 20 GB array; the text cannot hold it
+    # order 50,000 would be a 20 GB array; the header is refused before the body
     path = tmp_path / "huge.txt"
     path.write_text("50000 binary\n" + "\n" * 50000)
-    assert run_cli("verify", path) == 2
-    assert "line 2, column 1: expected 50000 tokens, got 0" in capsys.readouterr().err
+    assert run_cli("verify", path) == 3
+    assert "order 50000 exceeds the bound 16384" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("order, code", [
+    (str(MAX_ORDER + 1), 3), ("0" + str(MAX_ORDER + 1), 3), ("9" * 5000, 3), (str(MAX_ORDER), 2),
+], ids=["bound+1", "leading-zero", "5000-digits", "bound"])
+def test_cli_header_order_bound(tmp_path, capsys, order, code):
+    # a header-only file: an order over MAX_ORDER is a size error, found
+    # before any row is read; at the bound the missing rows are a parse error
+    path = tmp_path / "header.txt"
+    path.write_text(f"{order} binary\n")
+    assert run_cli("verify", path) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert ("size bound exceeded" in err) == (code == 3), err
 
 
 def test_cli_field_type2(tmp_path):

@@ -34,19 +34,29 @@ def test_only_matrix_core_makes_products():
     assert [f.split(":")[0] for f in found] == ["matrix_core.py"]
 
 
-def _reject(d):
-    return verify._fail("rejected by the test")
+@pytest.mark.parametrize("search", [
+    lambda: decompose_search.search_deza_digraphs(DezaParams(5, 1, 1, 0, 0)),
+    lambda: decompose_search.search_dsrg(6),
+], ids=["deza", "dsrg"])
+@pytest.mark.parametrize("first_block", [True, False], ids=["first-block", "later-block"])
+def test_search_hits_that_fail_the_block_check_raise(monkeypatch, search, first_block):
+    """One entry of one hit is flipped: the first hit, alone in its stack,
+    or the last hit of the first relabelled block of two or more.  The
+    search raises, naming that hit."""
+    inner, flipped = decompose_search._search, []
 
+    def flipping(*args):
+        for ms, js in inner(*args):
+            if not flipped and (first_block or len(ms) > 1):
+                ms = ms.copy()
+                ms[-1, -1, 0] ^= 1
+                flipped.append(ms[-1].tolist())
+            yield ms, js
 
-@pytest.mark.parametrize("verifier, search", [
-    ("verify_deza_digraph",
-     lambda: decompose_search.search_deza_digraphs(DezaParams(5, 1, 1, 0, 0), limit=1)),
-    ("verify_dsrg", lambda: decompose_search.search_dsrg(6)),
-])
-def test_search_hits_that_fail_verification_raise(monkeypatch, verifier, search):
-    monkeypatch.setattr(decompose_search, verifier, _reject)
-    with pytest.raises(RuntimeError, match="does not re-verify"):
+    monkeypatch.setattr(decompose_search, "_search", flipping)
+    with pytest.raises(RuntimeError, match="does not re-verify") as exc:
         search()
+    assert str(flipped[0]) in str(exc.value)
 
 
 def test_field_constructions_check_their_invariants(monkeypatch):

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 import dezakit as dz
-from dezakit.decompose_search import _search
 from dezakit.matrix_core import identity, ones
 from dezakit.scheme import (SchemeError, fusion_digraph, paley_tournament,
                             tournament_scheme, verify_scheme)
 
-from conftest import two_path_count
+from conftest import search_hits, two_path_count
 
 
 def triple_count(relations, i, j, x, y):
@@ -154,7 +153,7 @@ def enumerate_two_class_schemes(n_max):
     """
     reps = {}
     for n, k, lam, mu in _srg_parameter_candidates(n_max):
-        for m, _ in itertools.islice(_search(n, k, k, ({mu}, {lam})), 1):
+        for m, _ in itertools.islice(search_hits(n, k, k, ({mu}, {lam})), 1):
             key = ("srg", n, k, lam, mu)
             if key not in reps:
                 rest = ones(n) - identity(n) - m
@@ -162,7 +161,7 @@ def enumerate_two_class_schemes(n_max):
                 reps[key] = verify_scheme(mats)
     for n in (3, 7):
         t = (n - 3) // 4
-        for m, _ in itertools.islice(_search(n, (n - 1) // 2, 0, ({t + 1}, {t})), 1):
+        for m, _ in itertools.islice(search_hits(n, (n - 1) // 2, 0, ({t + 1}, {t})), 1):
             key = ("drt", n)
             if key not in reps:
                 reps[key] = verify_scheme([identity(n), m, m.T])
