@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from functools import cache
 from pathlib import Path
 
@@ -19,7 +18,7 @@ import numpy as np
 from . import construct, decompose_search, fileio, scheme, verify
 from .finite_field import odd_prime_power_field
 from .hadamard import HadamardMatrix, is_normalized, normalize, paley_skew, sylvester
-from .matrix_core import Digraph, SizeBoundError
+from .matrix_core import Digraph, SizeBoundError, check_order
 from .verify import DezaParams
 
 EXIT_OK = 0
@@ -81,6 +80,9 @@ def _cmd_construct(args) -> int:
             if not is_normalized(h):
                 h = normalize(h)
         elif args.order is not None:
+            # no matrix can give a twin of order (2n - 1) n over the bound
+            if args.order > 0:
+                check_order((2 * args.order - 1) * args.order)
             h = normalized_hadamard(args.order)
         else:
             raise ValueError(f"{fam} needs --order or --hadamard")
@@ -120,8 +122,8 @@ def _run_classifier(name: str, d: Digraph, partition,
                     children_prefix: str | None = None) -> dict:
     """One classifier, as a JSON-ready result dict; exceptions become
     failed results with the message as witness.  A deza hit with a
-    children prefix also writes its two position digraphs from the same
-    report and references them."""
+    children prefix also writes its two position digraphs and references
+    them."""
     try:
         if name == "deza":
             rep = verify.verify_deza_digraph(d)
@@ -149,21 +151,18 @@ def _run_classifier(name: str, d: Digraph, partition,
                         "witness": "no partition given and discovery failed"}
             rep = verify.verify_ddd(d, classes)
             out = fileio.report_to_dict(rep)
-            out.update({"classifier": name, "ok": rep.ok, "partition": classes})
+            # ddd results have always carried these two keys, as null
+            out.update({"classifier": name, "ok": rep.ok, "partition": classes,
+                        "x_positions": None, "y_positions": None})
             return out
         else:
             raise ValueError(f"unknown classifier {name}")
     except ValueError as exc:
         return {"classifier": name, "ok": False, "witness": str(exc)}
-    # children matrices are bulky and never written to the report
-    if isinstance(rep, verify.VerificationReport):
-        out = fileio.report_to_dict(replace(rep, x_positions=None, y_positions=None))
-        del out["x_positions"], out["y_positions"]
-    else:
-        out = fileio.report_to_dict(rep)
+    out = fileio.report_to_dict(rep)
     out.update({"classifier": name, "ok": rep.ok})
     if name == "deza" and rep.ok and children_prefix:
-        x, y = verify.deza_children(rep)
+        x, y = verify.deza_children(d)
         paths = {"x": f"{children_prefix}_X.txt", "y": f"{children_prefix}_Y.txt"}
         _write_digraph(x, paths["x"])
         _write_digraph(y, paths["y"])
@@ -206,7 +205,7 @@ def _cmd_children(args) -> int:
     if not rep.ok:
         print(f"verification failed: {rep.witness}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
-    x, y = verify.deza_children(rep)
+    x, y = verify.deza_children(d)
     _write_digraph(x, args.out_x)
     _write_digraph(y, args.out_y)
     return EXIT_OK

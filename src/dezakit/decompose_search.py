@@ -13,7 +13,7 @@ from math import isqrt
 
 import numpy as np
 
-from .matrix_core import Digraph, SizeBoundError, identity
+from .matrix_core import Digraph, SizeBoundError, block_circulant
 from .verify import (DezaParams, DsrgParams, _equivalence_classes, check_invariants,
                      verify_deza_digraph, verify_dsrg, verify_symmetric_design, verify_type2)
 
@@ -56,11 +56,13 @@ def _quotient_certificate(m: np.ndarray, classes: list[list[int]]) -> tuple[np.n
     return quotient, tuple(class_map)
 
 
-def _lex_quotient(d: Digraph, report, relation: str) -> tuple[np.ndarray, tuple[int, ...], int]:
-    """Quotient adjacency, class map and class size of the b-positions of
-    a verified report, made reflexive: the relation must be an
-    equivalence with classes of size beta + 1 that certify M = M_q x J."""
-    classes = _equivalence_classes(report.y_positions + identity(d.n))
+def _lex_quotient(d: Digraph, report, s: np.ndarray,
+                  relation: str) -> tuple[np.ndarray, tuple[int, ...], int]:
+    """Quotient adjacency, class map and class size of the relation
+    "statistic = b" of a verified report, s the statistic's strip with
+    diagonal b: an equivalence with classes of size beta + 1 that
+    certify M = M_q x J."""
+    classes = _equivalence_classes(block_circulant(s == report.params.b))
     if classes is None:
         raise ValueError(f"the {relation} relation is not an equivalence")
     n2 = report.beta + 1
@@ -88,7 +90,7 @@ def decompose_b_eq_t(d: Digraph) -> Decomposition:
     if params.a == params.b:
         raise ValueError("a = b leaves the quotient relation trivial; "
                          "decomposition requires two distinct path counts")
-    quotient_m, class_map, n2 = _lex_quotient(d, report, "b-count")
+    quotient_m, class_map, n2 = _lex_quotient(d, report, d.products.square_strip, "b-count")
     quotient = Digraph(quotient_m)
     qreport = verify_dsrg(quotient)
     if not qreport.ok:
@@ -114,7 +116,8 @@ def decompose_type2_b_eq_k(d: Digraph) -> Decomposition:
         raise ValueError(f"b = {params.b} differs from k = {params.k}")
     if params.a == params.b:
         raise ValueError("a = b leaves the quotient relation trivial")
-    quotient_m, class_map, n2 = _lex_quotient(d, report, "shared-neighbourhood")
+    quotient_m, class_map, n2 = _lex_quotient(d, report, d.products.gram_strip,
+                                              "shared-neighbourhood")
     quotient = Digraph(quotient_m)
     design = verify_symmetric_design(quotient)
     law = (params.n == design.n * n2 and params.k == design.k * n2

@@ -1,4 +1,4 @@
-"""Matrix text files, digraph6/dot export, and JSON report documents.
+"""Matrix text files, digraph6 export, and JSON report documents.
 
 The matrix01 text format is the canonical interchange format: a header
 line "<order> <alphabet>" with alphabet binary or signed, then order
@@ -150,14 +150,6 @@ def to_digraph6(d: Digraph) -> bytes:
     bits = np.pad(bits, (0, -bits.size % 6)).reshape(-1, 6)
     groups = bits @ np.array([32, 16, 8, 4, 2, 1]) + 63
     return b"&" + _digraph6_order_bytes(d.n) + groups.astype(np.uint8).tobytes()
-
-
-def to_dot(d: Digraph) -> str:
-    lines = ["digraph {"]
-    for u, v in d.arcs():
-        lines.append(f"  {u} -> {v};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
 
 
 def _jsonable(value):

@@ -14,7 +14,7 @@ import itertools
 
 import numpy as np
 
-from .matrix_core import check_order, identity
+from .matrix_core import SizeBoundError, check_order, identity
 
 MAX_ORDER = 2**16
 
@@ -174,7 +174,7 @@ def make_field(p: int, m: int) -> FiniteField:
 
 def _check_order(q: int):
     if q > MAX_ORDER:
-        raise ValueError(f"field order {q} exceeds the bound {MAX_ORDER}")
+        raise SizeBoundError(f"field order {q} exceeds the bound {MAX_ORDER}")
 
 
 def odd_prime_power_field(q: int, residue: int | None = None) -> FiniteField:

@@ -6,7 +6,7 @@ block_circulant expands.  Products keeps the products of a matrix as
 such strips, with the height of the strip Digraph.from_strip made it
 from, or else the cyclic shift period it finds once; exact_matmul
 takes its right operand dense or as such a strip, never expanded.  0/1
-masks, such as the position matrices of the verifiers, are bool.
+masks, such as the position strips of the verifiers, are bool.
 Every operation is pure and exact: no modular reduction, no
 floating-point rounding.  Large multiplies are routed through BLAS
 only when a proven bound guarantees that every intermediate value is
@@ -203,7 +203,6 @@ class Products:
 
     def __init__(self, m: np.ndarray, period: int | None = None):
         n = m.shape[0]
-        self.m = m
         if period is None:
             period = _shift_period(m) if n >= _BLAS_MIN_ORDER else n
         self.period = period
@@ -278,10 +277,6 @@ class Digraph:
         return Products(self.adjacency, self._period)
 
     _canonical = cached_property(lambda self: [None])
-
-    def arcs(self):
-        for u, v in zip(*np.nonzero(self.adjacency)):
-            yield int(u), int(v)
 
     def __eq__(self, other):
         return (isinstance(other, Digraph)

@@ -13,7 +13,9 @@ as in the strip.  Degrees are row sums of the strips of M and M^t.  A
 shift-invariant degree or entry first fails in row-major order in a row
 below h, so the witnesses name the vertices and pairs the dense matrices
 would.  Definitional failures are reported (classification "not_member"
-plus a witness); malformed calls raise ValueError.
+plus a witness); malformed calls raise ValueError.  A report holds
+parameters and counts only, never an n x n matrix: deza_children reads
+the position digraphs X and Y off the strip of M^2 when they are wanted.
 """
 
 from __future__ import annotations
@@ -99,8 +101,6 @@ class VerificationReport:
     alpha_formula: int | None = None
     beta_formula: int | None = None
     consistent: bool | None = None
-    x_positions: np.ndarray | None = None
-    y_positions: np.ndarray | None = None
     witness: str | None = None
 
     @property
@@ -189,27 +189,30 @@ def _two_values(s: np.ndarray) -> tuple[list[int], int, int]:
     return vals, a, b
 
 
+def _positions(s: np.ndarray, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """The bool strips of the off-diagonal a- and b-positions of strip s."""
+    at_a, at_b = s == a, s == b
+    # every (n + 1)-th flat entry: the diagonal entries s[i, i], i < h
+    at_a.reshape(-1)[::s.shape[1] + 1] = at_b.reshape(-1)[::s.shape[1] + 1] = False
+    return at_a, at_b
+
+
 def _fit_two_valued(s: np.ndarray, k: int, t: int, counts: str,
                     label) -> VerificationReport:
     """Fit S = aX + bY + tI with X + Y + I = J and a <= b, S the product
     with strip s.
 
     counts names the statistic in the witness when S takes more than two
-    values off the diagonal.  Otherwise X holds the a-positions and Y the
-    b-positions as bool matrices (X = J - I, Y = O when a = b), the
-    partners realizing each value are counted at every vertex and
-    compared with their closed forms, and label(a, b) gives the
-    classification and params.
+    values off the diagonal.  Otherwise the partners realizing each value
+    are counted at every vertex (beta = alpha when a = b) and compared
+    with their closed forms, and label(a, b) gives the classification
+    and params.
     """
     n = s.shape[1]
     vals, a, b = _two_values(s)
     if len(vals) > 2:
         return _fail(f"{counts} take {len(vals)} values {_value_multiset(s)}")
-    at_a, at_b = s == a, s == b
-    # every (n + 1)-th flat entry: the diagonal entries s[i, i], i < h
-    at_a.reshape(-1)[::n + 1] = at_b.reshape(-1)[::n + 1] = False
-    x = block_circulant(at_a)
-    y = block_circulant(at_b) if a != b else np.zeros((n, n), dtype=bool)
+    at_a, at_b = _positions(s, a, b)
     alpha_counts, beta_counts = at_a.sum(axis=1), at_b.sum(axis=1)
     alpha, beta = int(alpha_counts[0]), int(beta_counts[0])
     # the row sums of S are constant, so each count is the same at every vertex
@@ -224,7 +227,6 @@ def _fit_two_valued(s: np.ndarray, k: int, t: int, counts: str,
         alpha=alpha, beta=beta,
         alpha_formula=alpha_f, beta_formula=beta_f,
         consistent=alpha == alpha_f and beta == beta_f,
-        x_positions=x, y_positions=y,
     )
 
 
@@ -254,11 +256,16 @@ def verify_deza_digraph(d: Digraph) -> VerificationReport:
         DezaParams(n, k, b, a, t)))
 
 
-def deza_children(report: VerificationReport) -> tuple[Digraph, Digraph]:
-    """The digraphs on the a-positions and b-positions of a verified report."""
-    if not report.ok or report.x_positions is None:
-        raise ValueError("report does not carry a successful Deza classification")
-    return Digraph(report.x_positions), Digraph(report.y_positions)
+def deza_children(d: Digraph) -> tuple[Digraph, Digraph]:
+    """The digraphs X and Y on the a- and b-positions of M^2 = aX + bY + tI
+    (Y = O when a = b); ValueError unless d verifies as a directed Deza
+    graph.  They are made from the strip of M^2, so keep d's period."""
+    report = verify_deza_digraph(d)
+    if not report.ok:
+        raise ValueError(f"not a directed Deza graph: {report.witness}")
+    p = report.params
+    x, y = _positions(d.products.square_strip, p.a, p.b)
+    return Digraph.from_strip(x), Digraph.from_strip(y if p.a != p.b else np.zeros_like(y))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from dezakit.decompose_search import canonical_form, decompose_b_eq_t, \
 from dezakit.hadamard import paley_skew, sylvester
 from dezakit.matrix_core import Digraph, identity, kronecker, ones
 from dezakit.scheme import fusion_digraph, paley_tournament, tournament_scheme
-from dezakit.verify import DezaParams, discover_ddd_partition, feasibility, \
+from dezakit.verify import DezaParams, deza_children, discover_ddd_partition, feasibility, \
     verify_ddd, verify_deza_digraph, verify_deza_graph, verify_dsrg, \
     verify_reflexive_directed_deza, verify_type2
 
@@ -342,12 +342,22 @@ def test_criterion_10_reconstruction_invariant(lambda_mu_catalogue_8):
     ]
     ok = True
     for d in corpus_deza:
-        rep = verify_deza_digraph(d)
-        p = rep.params
-        lhs = p.a * rep.x_positions + p.b * rep.y_positions + p.t * identity(d.n)
+        p = verify_deza_digraph(d).params
+        x, y = (child.adjacency for child in deza_children(d))
+        lhs = p.a * x + p.b * y + p.t * identity(d.n)
         ok &= np.array_equal(lhs, d.adjacency @ d.adjacency)
-        ok &= np.array_equal(rep.x_positions + rep.y_positions + identity(d.n),
-                             ones(d.n))
+        ok &= np.array_equal(x + y + identity(d.n), ones(d.n))
+
+    def positions(rep, s):
+        """X and Y of the statistic s at the report's (a, b), and whether
+        the report's alpha and beta count the a- and b-positions of
+        every row."""
+        p = rep.params
+        off = ~np.eye(len(s), dtype=bool)
+        x, at_b = (s == p.a) & off, (s == p.b) & off
+        counted = (x.sum(axis=1) == rep.alpha).all() and (at_b.sum(axis=1) == rep.beta).all()
+        return x, at_b & (p.a != p.b), counted
+
     f3 = dz.make_field(3, 1)
     h4 = sylvester(2)
     pair, _ = dz.twin_directed(h4)
@@ -362,8 +372,9 @@ def test_criterion_10_reconstruction_invariant(lambda_mu_catalogue_8):
         rep = verify_type2(d)
         p = rep.params
         m = d.adjacency
-        lhs = p.a * rep.x_positions + p.b * rep.y_positions + p.k * identity(d.n)
-        ok &= np.array_equal(lhs, m @ m.T)
+        x, y, counted = positions(rep, m @ m.T)
+        lhs = p.a * x + p.b * y + p.k * identity(d.n)
+        ok &= counted and np.array_equal(lhs, m @ m.T)
         ok &= np.array_equal(lhs, m.T @ m)
     # undirected members: the path-count identity with the diagonal of M^2
     tw = dz.twin_deza(h4)
@@ -373,6 +384,7 @@ def test_criterion_10_reconstruction_invariant(lambda_mu_catalogue_8):
         rep = verify_deza_graph(d, reflexive=reflexive)
         p = rep.params
         m = d.adjacency
-        lhs = p.a * rep.x_positions + p.b * rep.y_positions + p.k * identity(d.n)
-        ok &= np.array_equal(lhs, m @ m)
+        x, y, counted = positions(rep, m @ m)
+        lhs = p.a * x + p.b * y + p.k * identity(d.n)
+        ok &= counted and np.array_equal(lhs, m @ m)
     assert report(10, ok, "exact reconstruction a*X + b*Y + (t or k)*I across the corpus")

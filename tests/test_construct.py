@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -222,25 +220,19 @@ def test_complete_digraph_checks_the_order_before_allocating(monkeypatch):
 
 
 def verifier_reports(d, classes):
-    """Every verifier's report on d as a dict, or the message of the
-    ValueError it raised; position matrices as bytes, which the dict
-    would hold as nested lists."""
+    """Every verifier's report on d as a dict, and the Deza children's
+    matrices as bytes, or the message of the ValueError raised."""
     runs = (verify.verify_deza_digraph, verify.verify_type2, verify.verify_dsrg,
             lambda d: verify.verify_deza_graph(d, reflexive=d.loops_allowed),
             verify.verify_reflexive_directed_deza, verify.verify_symmetric_design,
-            lambda d: verify.verify_ddd(d, classes), verify.discover_ddd_partition)
+            lambda d: verify.verify_ddd(d, classes), verify.discover_ddd_partition,
+            lambda d: [x.adjacency.tobytes() for x in verify.deza_children(d)])
     reports = []
     for run in runs:
         try:
-            rep = run(d)
+            reports.append(report_to_dict(run(d)))
         except ValueError as exc:
             reports.append(str(exc))
-            continue
-        if isinstance(rep, verify.VerificationReport):
-            reports.append([None if x is None else x.tobytes()
-                            for x in (rep.x_positions, rep.y_positions)])
-            rep = replace(rep, x_positions=None, y_positions=None)
-        reports.append(report_to_dict(rep))
     return reports
 
 

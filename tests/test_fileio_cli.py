@@ -12,7 +12,7 @@ import dezakit as dz
 from dezakit.cli import _CLASSIFIERS, main
 from dezakit.fileio import (MatrixParseError, _digraph6_order_bytes, _matrix_text,
                             _scan_matrix, load_report, read_digraph,
-                            read_matrix, to_digraph6, to_dot, write_matrix,
+                            read_matrix, to_digraph6, write_matrix,
                             write_report)
 from dezakit.matrix_core import MAX_ORDER, Digraph
 
@@ -211,12 +211,6 @@ def test_digraph6_rejects_loops_and_large():
         to_digraph6(Digraph(np.eye(2, dtype=np.int64), loops_allowed=True))
     with pytest.raises(ValueError):
         to_digraph6(dz.empty_digraph(300))
-
-
-def test_dot_output():
-    out = to_dot(dz.directed_cycle(3))
-    assert out.count("->") == 3
-    assert out.startswith("digraph {")
 
 
 def test_report_round_trip(tmp_path):
@@ -468,7 +462,7 @@ def test_cli_large_prime_fails_at_once(tmp_path, capsys):
     # field's order bound rejects q; dividing up to q took over a minute
     out = tmp_path / "drt.txt"
     start = time.perf_counter()
-    assert run_cli("construct", "drt", "--q", 1000000007, "--out", out) == 2
+    assert run_cli("construct", "drt", "--q", 1000000007, "--out", out) == 3
     assert time.perf_counter() - start < 5
     assert "exceeds the bound" in capsys.readouterr().err and not out.exists()
 
@@ -478,11 +472,24 @@ def test_cli_huge_q_rejected_before_factoring(tmp_path, capsys):
     # factoring this 16-digit prime first took seconds
     out = tmp_path / "drt.txt"
     start = time.perf_counter()
-    assert run_cli("construct", "drt", "--q", 1000000000000037, "--out", out) == 2
+    assert run_cli("construct", "drt", "--q", 1000000000000037, "--out", out) == 3
     assert time.perf_counter() - start < 1
     err = capsys.readouterr().err
     assert "field order 1000000000000037 exceeds the bound 65536" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("q, message", [
+    (16411, "order 16411 exceeds the bound 16384"),
+    (65539, "field order 65539 exceeds the bound 65536"),
+], ids=["matrix-bound", "field-bound"])
+def test_cli_field_and_matrix_order_bounds_both_exit_3(tmp_path, capsys, q, message):
+    # both primes are 3 mod 4; one passes the field's bound and fails the
+    # matrix order bound, the other fails the field's bound
+    out = tmp_path / "drt.txt"
+    assert run_cli("construct", "drt", "--q", q, "--out", out) == 3
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err and not out.exists()
 
 
 def test_cli_short_file_with_large_header(tmp_path, capsys):
@@ -577,6 +584,24 @@ def test_cli_oversized_construct_exits_3(tmp_path, capsys, argv):
     assert time.perf_counter() - start < 1
     err = capsys.readouterr().err
     assert "exceeds" in err and "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("family", ["twin", "twin-directed"])
+@pytest.mark.parametrize("order, code, message", [
+    (92, 3, "order 16836 exceeds the bound 16384"),
+    (252, 3, "order 126756 exceeds the bound 16384"),
+    (88, 2, "no built-in Hadamard matrix of order 88; supply one via --hadamard"),
+    (0, 2, "no built-in Hadamard matrix of order 0; supply one via --hadamard"),
+], ids=["92", "252", "88", "0"])
+def test_cli_twin_order_bound_before_the_hadamard_supply(tmp_path, capsys, family, order,
+                                                         code, message):
+    # a twin of order (2n - 1) n over the bound exits 3 whether or not a
+    # built-in Hadamard matrix of order n exists; one within it keeps exit 2
+    base = tmp_path / "t"
+    assert run_cli("construct", family, "--order", order, "--out", base) == code
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
     assert not list(tmp_path.iterdir())
 
 

@@ -1,10 +1,12 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 import dezakit as dz
-from dezakit.matrix_core import Digraph, Products, identity, ones, zeros
-from dezakit.verify import (DezaParams, deza_children, feasibility, verify_ddd,
-                            verify_deza_digraph, verify_deza_graph, verify_dsrg,
+from dezakit.matrix_core import Digraph, identity, ones, zeros
+from dezakit.verify import (DezaParams, VerificationReport, deza_children, feasibility,
+                            verify_ddd, verify_deza_digraph, verify_deza_graph, verify_dsrg,
                             verify_reflexive_directed_deza,
                             verify_symmetric_design, verify_type2)
 
@@ -50,8 +52,7 @@ def test_directed_5_cycle():
 
 
 def test_children_partition(deza_8_3):
-    rep = verify_deza_digraph(deza_8_3)
-    x, y = deza_children(rep)
+    x, y = deza_children(deza_8_3)
     assert np.array_equal(x.adjacency + y.adjacency + identity(8), ones(8))
     # b-positions of the (8,3,3,1,0) example form a 1-regular digraph
     assert (y.adjacency.sum(axis=1) == 1).all()
@@ -59,24 +60,34 @@ def test_children_partition(deza_8_3):
 
 def test_children_of_dsrg_contains_adjacency():
     d = dz.paley_tournament(7)
-    rep = verify_deza_digraph(d)
-    x, y = deza_children(rep)
+    x, y = deza_children(d)
     assert np.array_equal(x.adjacency, d.adjacency) or np.array_equal(y.adjacency, d.adjacency)
 
 
 def test_children_of_complete_digraph():
-    rep = verify_deza_digraph(dz.complete_digraph(4))
-    x, y = deza_children(rep)
+    x, y = deza_children(dz.complete_digraph(4))
     # single off-diagonal value: one position class holds everything
     assert not y.adjacency.any()
     assert np.array_equal(x.adjacency, ones(4) - identity(4))
 
 
 def test_children_requires_success():
-    bad = verify_deza_digraph(Digraph(np.array([[0, 1], [0, 0]], dtype=np.int64)))
-    assert not bad.ok
-    with pytest.raises(ValueError):
+    bad = Digraph(np.array([[0, 1], [0, 0]], dtype=np.int64))
+    assert not verify_deza_digraph(bad).ok
+    with pytest.raises(ValueError, match="not a directed Deza graph: out-degrees"):
         deza_children(bad)
+
+
+def test_children_of_a_non_member_with_regular_degrees_raise():
+    # 3-regular but M^2 takes three values off the diagonal
+    d = Digraph(dz.circulant([0, 1, 1, 0, 1, 0, 0, 0]))
+    rep = verify_deza_digraph(d)
+    assert not rep.ok and "take 3 values" in rep.witness
+    with pytest.raises(ValueError) as exc:
+        deza_children(d)
+    assert str(exc.value) == f"not a directed Deza graph: {rep.witness}"
+    with pytest.raises(ValueError, match="has loops"):
+        deza_children(Digraph(identity(3), loops_allowed=True))
 
 
 def test_feasibility_reference_tuples():
@@ -323,22 +334,28 @@ def test_classification_invariant_under_relabeling(seed, deza_8_3, deza_8_4):
 
 def test_reconstruction_identity(deza_8_3, deza_8_4):
     for d in (deza_8_3, deza_8_4, dz.directed_cycle(5), dz.paley_tournament(11)):
-        rep = verify_deza_digraph(d)
-        p = rep.params
+        p = verify_deza_digraph(d).params
+        x, y = deza_children(d)
         m = d.adjacency
-        lhs = p.a * rep.x_positions + p.b * rep.y_positions + p.t * identity(d.n)
+        lhs = p.a * x.adjacency + p.b * y.adjacency + p.t * identity(d.n)
         assert np.array_equal(lhs, m @ m)
 
 
 def test_type2_reconstruction_identity():
-    f3 = dz.make_field(3, 1)
-    d = dz.field_type2(f3, f3.element(1))
-    rep = verify_type2(d)
-    p = rep.params
-    m = d.adjacency
-    lhs = p.a * rep.x_positions + p.b * rep.y_positions + p.k * identity(d.n)
-    assert np.array_equal(lhs, m @ m.T)
-    assert np.array_equal(lhs, m.T @ m)
+    for q in (3, 5):  # order 325 at q = 5, read from strips of height 25
+        f = dz.make_field(q, 1)
+        d = dz.field_type2(f, f.element(1))
+        rep = verify_type2(d)
+        p = rep.params
+        m = d.adjacency
+        s = m @ m.T
+        x, y = s == p.a, s == p.b
+        np.fill_diagonal(x, False)
+        np.fill_diagonal(y, False)
+        assert (x.sum(axis=1) == rep.alpha).all() and (y.sum(axis=1) == rep.beta).all()
+        lhs = p.a * x + p.b * y + p.k * identity(d.n)
+        assert np.array_equal(lhs, s)
+        assert np.array_equal(lhs, m.T @ m)
 
 
 def test_offdiag_values_match_a_masked_sort():
@@ -354,25 +371,39 @@ def test_offdiag_values_match_a_masked_sort():
                 assert _offdiag_values(m) == want
 
 
-def test_position_matrices_are_bool_and_rebuild_the_statistic(deza_8_3):
+def test_children_keep_the_period_and_equal_the_dense_masks(deza_8_3):
     f5 = dz.make_field(5, 1)
-    cases = (  # (digraph, verifier, its statistic, the period of the strips read)
+    cases = (  # (digraph, the period of its products)
         # periodic of order >= 128, read from strips of height 1 and q^2 = 25
-        (dz.paley_tournament(131), verify_deza_digraph, lambda m: m @ m, 1),
-        (dz.field_type2(f5, f5.element(0)), verify_deza_graph, lambda m: m @ m, 25),
-        (dz.field_type2(f5, f5.element(1)), verify_type2, lambda m: m @ m.T, 25),
+        (dz.paley_tournament(131), 1),
+        (dz.field_type2(f5, f5.element(0)), 25),
         # small, and small with a = b, so that Y = O
-        (deza_8_3, verify_deza_digraph, lambda m: m @ m, 8),
-        (Digraph(ones(5) - identity(5)), verify_deza_digraph, lambda m: m @ m, 5),
+        (deza_8_3, 8),
+        (Digraph(ones(5) - identity(5)), 5),
     )
-    for d, verifier, statistic, period in cases:
-        n = d.n
-        assert Products(d.adjacency).period == period
-        rep = verifier(d)
-        p = rep.params
-        t = p.t if isinstance(p, DezaParams) else p.k
-        x, y = rep.x_positions, rep.y_positions
-        assert x.dtype == y.dtype == bool and x.shape == y.shape == (n, n)
-        assert np.array_equal(p.a * x + p.b * y + t * identity(n), statistic(d.adjacency))
-        assert np.array_equal(x + y + identity(n), ones(n))
-    assert not rep.y_positions.any()
+    for d, period in cases:
+        n, m = d.n, d.adjacency
+        assert d.products.period == period
+        p = verify_deza_digraph(d).params
+        s, off = m @ m, ~np.eye(n, dtype=bool)
+        x, y = deza_children(d)
+        assert x._period == y._period == period
+        assert np.array_equal(x.adjacency, (s == p.a) & off)
+        assert np.array_equal(y.adjacency, (s == p.b) & off & (p.a != p.b))
+        assert np.array_equal(p.a * x.adjacency + p.b * y.adjacency + p.t * identity(n), s)
+        assert x == Digraph(x.adjacency) and y == Digraph(y.adjacency)
+    assert not y.adjacency.any()
+
+
+def test_reports_hold_no_arrays(deza_8_3):
+    f5 = dz.make_field(5, 1)
+    d2 = dz.field_type2(f5, f5.element(1))
+    reports = [verify_deza_digraph(deza_8_3), verify_deza_digraph(dz.complete_digraph(4)),
+               verify_type2(d2), verify_deza_graph(dz.field_type2(f5, f5.zero)),
+               verify_dsrg(dz.paley_tournament(7)),
+               verify_ddd(deza_8_3, [[0, 1], [2, 3], [4, 5], [6, 7]])]
+    assert all(r.ok for r in reports)
+    for field in fields(VerificationReport):
+        assert "ndarray" not in str(field.type), field.name
+        for r in reports:
+            assert not isinstance(getattr(r, field.name), np.ndarray), field.name

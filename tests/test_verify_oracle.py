@@ -87,14 +87,12 @@ def two_valued_fit(s, k, t, name, label) -> VerificationReport:
     if len(vals) > 2:
         return fail(f"{name} take {len(vals)} values {multiset(s)}")
     a, b = (vals[0], vals[-1]) if vals else (0, 0)
-    x = [[int(u != v and s[u][v] == a) for v in range(n)] for u in range(n)]
-    y = [[int(u != v and s[u][v] == b and a != b) for v in range(n)] for u in range(n)]
     alpha = sum(s[0][v] == a for v in range(1, n))
     beta = sum(s[0][v] == b for v in range(1, n))
     alpha_f, beta_f = (partner_formula(n, k, b, a, t, val) for val in (a, b))
     tag, params = label(a, b)
     return VerificationReport(tag, params, alpha, beta, alpha_f, beta_f,
-                              alpha == alpha_f and beta == beta_f, np.array(x), np.array(y))
+                              alpha == alpha_f and beta == beta_f)
 
 
 def deza_oracle(m, classes):
@@ -112,6 +110,17 @@ def deza_oracle(m, classes):
     return two_valued_fit(s, k, t, "off-diagonal path counts", lambda a, b: (
         "deza_graph" if t == k else "dsrg" if a == b else "deza_digraph",
         DezaParams(n, k, b, a, t)))
+
+
+def children_oracle(m, classes):
+    """The rows of the Deza children X and Y: u -> v in X when the
+    two-path count of (u, v) is a, and in Y when it is b and a != b."""
+    rep = deza_oracle(m, classes)
+    if not rep.ok:
+        raise ValueError(rep.witness)
+    n, p, s = len(m), rep.params, counts(np.array(m))[0]
+    return [[[int(u != v and s[u][v] == value and keep) for v in range(n)] for u in range(n)]
+            for value, keep in ((p.a, True), (p.b, p.a != p.b))]
 
 
 def dsrg_oracle(m, classes):
@@ -261,6 +270,8 @@ def design_oracle(m, classes):
 # name -> (verifier on (digraph, classes), oracle on (rows, classes))
 CASES = {
     "deza": (lambda d, c: verify.verify_deza_digraph(d), deza_oracle),
+    "children": (lambda d, c: [x.adjacency.tolist() for x in verify.deza_children(d)],
+                 children_oracle),
     "dsrg": (lambda d, c: verify.verify_dsrg(d), dsrg_oracle),
     "type2": (lambda d, c: verify.verify_type2(d), type2_oracle),
     "ddd": (lambda d, c: verify.verify_ddd(d, c), ddd_oracle),
