@@ -162,11 +162,9 @@ def _run_classifier(name: str, d: Digraph, partition,
     out = fileio.report_to_dict(rep)
     out.update({"classifier": name, "ok": rep.ok})
     if name == "deza" and rep.ok and children_prefix:
-        x, y = verify.deza_children(d)
-        paths = {"x": f"{children_prefix}_X.txt", "y": f"{children_prefix}_Y.txt"}
-        _write_digraph(x, paths["x"])
-        _write_digraph(y, paths["y"])
-        out["children"] = paths
+        out["children"] = {"x": f"{children_prefix}_X.txt", "y": f"{children_prefix}_Y.txt"}
+        for child, path in zip(verify._children(d, rep.params), out["children"].values()):
+            _write_digraph(child, path)
     return out
 
 
@@ -205,9 +203,8 @@ def _cmd_children(args) -> int:
     if not rep.ok:
         print(f"verification failed: {rep.witness}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
-    x, y = verify.deza_children(d)
-    _write_digraph(x, args.out_x)
-    _write_digraph(y, args.out_y)
+    for child, path in zip(verify._children(d, rep.params), (args.out_x, args.out_y)):
+        _write_digraph(child, path)
     return EXIT_OK
 
 

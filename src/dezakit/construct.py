@@ -1,7 +1,7 @@
-"""Constructions emitting digraphs (or signed twin matrices) ready for
-the verifiers: lexicographic products, the skew-Hadamard substitution,
-twin and Siamese-twin families, quadratic-residue designs and graphs,
-and the finite-field type-II family with its identity suite.
+"""Constructions emitting digraphs ready for the verifiers: lexicographic
+products, the skew-Hadamard substitution, twin and Siamese-twin families
+(parts of a signed matrix), quadratic-residue designs and graphs, and
+the finite-field type-II family with its identity suite.
 """
 
 from __future__ import annotations
@@ -13,9 +13,8 @@ import numpy as np
 from .finite_field import (Element, FiniteField, odd_prime_power_field,
                            quadratic_character_matrix, rep)
 from .hadamard import HadamardMatrix, is_normalized, is_skew_type
-from .matrix_core import (Digraph, SignedMatrix, block_circulant, check_order,
-                          circulant, exact_matmul, identity, kronecker, ones,
-                          zeros)
+from .matrix_core import (Digraph, SignedMatrix, check_order, circulant,
+                          exact_matmul, identity, kronecker, ones, zeros)
 from .verify import DesignParams, DezaParams, DsrgParams, verify_symmetric_design
 
 
@@ -85,26 +84,29 @@ def pair_classes(n_vertices: int) -> list[list[int]]:
 
 @dataclass(frozen=True)
 class TwinPair:
-    """A signed matrix whose positive and negative parts are disjoint
-    graphs with identical parameters, plus the Hadamard matrix and block
-    structure it came from."""
+    """The positive and negative parts A and B of a signed block matrix
+    K = A - B: disjoint graphs with identical parameters, with the
+    Hadamard matrix they came from, whose order is their block order."""
 
-    signed: SignedMatrix
     positive_part: Digraph
     negative_part: Digraph
     hadamard: np.ndarray
-    block_order: int
+
+    block_order = property(lambda self: len(self.hadamard))
+    # K = A - B, made afresh on each read
+    signed = property(lambda self: SignedMatrix(self.positive_part.adjacency
+                                                - self.negative_part.adjacency))
 
     def block_classes(self) -> list[list[int]]:
         n = self.block_order
-        count = self.signed.n // n
-        return [list(range(i * n, (i + 1) * n)) for i in range(count)]
+        return [list(range(i, i + n)) for i in range(0, self.positive_part.n, n)]
 
 
 def _twin_pair(h: HadamardMatrix, sign: int) -> TwinPair:
-    """The signed block-circulant of order (2n-1)n with first block row
-    [O, C_2, ..., C_n, sign C_n, ..., sign C_2], where C_i = r_i^t r_i
-    for row r_i of h; the leading O is the zeroed diagonal block."""
+    """The parts of the signed block-circulant of order (2n-1)n with first
+    block row [O, C_2, ..., C_n, sign C_n, ..., sign C_2], C_i = r_i^t r_i
+    for row r_i of h and O the zeroed diagonal block: each part is made
+    from the mask of its sign in that strip, which is never expanded."""
     if not is_normalized(h):
         raise ValueError("Hadamard matrix must be normalized")
     n = h.order
@@ -113,10 +115,7 @@ def _twin_pair(h: HadamardMatrix, sign: int) -> TwinPair:
     signs = np.array([0] + [1] * (n - 1) + [sign] * (n - 1), dtype=np.int64)
     blocks = signs[:, None, None] * rows[:, :, None] * rows[:, None, :]
     strip = blocks.transpose(1, 0, 2).reshape(n, (2 * n - 1) * n)
-    return TwinPair(SignedMatrix(block_circulant(strip)),
-                    Digraph.from_strip(strip == 1),
-                    Digraph.from_strip(strip == -1),
-                    h.matrix, n)
+    return TwinPair(Digraph.from_strip(strip == 1), Digraph.from_strip(strip == -1), h.matrix)
 
 
 def twin_deza(h: HadamardMatrix) -> TwinPair:
@@ -137,7 +136,7 @@ def siamese_reflexive(pair: TwinPair) -> tuple[Digraph, Digraph]:
     The parts are block-circulant with blocks of the pair's block order
     n, so each is its first n rows, and I x C_1 is the strip [C_1 | O]."""
     n, r0 = pair.block_order, pair.hadamard[0]
-    shared = np.zeros((n, pair.signed.n), dtype=np.int64)
+    shared = np.zeros((n, pair.positive_part.n), dtype=np.int64)
     shared[:, :n] = np.outer(r0, r0)
     return tuple(Digraph.from_strip(part.adjacency[:n] + shared, loops_allowed=True)
                  for part in (pair.positive_part, pair.negative_part))

@@ -306,18 +306,17 @@ def _satisfies(ms: np.ndarray, k: int, t: int, allowed) -> np.ndarray:
 
 
 def _reverified(params, n: int, k: int, t: int, allowed):
-    """Each hit of _search as a Digraph, once _satisfies accepts its whole
-    stack; an image shares the certificate holder of its S0 preimage."""
+    """Each hit of _search as a Digraph on its row of the stack _satisfies
+    accepted, with no second check; an image shares its S0 preimage's holder."""
     holders: dict[int, list] = {}
     for ms, js in _search(n, k, t, allowed):
         ok = _satisfies(ms, k, t, allowed)
         if not ok.all():
             raise RuntimeError(f"search hit does not re-verify as {params}: "
                                f"{ms[ok.argmin()].tolist()}")
+        ms.setflags(write=False)
         for m, j in zip(ms, js):
-            d = Digraph(m)
-            d.__dict__["_canonical"] = holders.setdefault(j, [None])  # fills the cached_property
-            yield d
+            yield Digraph._checked(m, canonical=holders.setdefault(j, [None]))
 
 
 def search_deza_digraphs(params: DezaParams, limit: int | None = None) -> list[Digraph]:

@@ -2,7 +2,7 @@
 
 The matrix01 text format is the canonical interchange format: a header
 line "<order> <alphabet>" with alphabet binary or signed, then order
-lines of order whitespace-separated tokens.
+lines of order whitespace-separated tokens, and blank lines at most.
 """
 
 from __future__ import annotations
@@ -106,6 +106,9 @@ def _scan_matrix(text: str) -> np.ndarray:
                 raise MatrixParseError(i + 2, j + 1,
                                        f"token {v} outside alphabet {header[1]}")
             out[i, j] = v
+    extra = next((i for i in range(n + 1, len(lines)) if lines[i].strip()), None)
+    if extra is not None:
+        raise MatrixParseError(extra + 1, 1, f"content after the last of {n} rows")
     return out
 
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .finite_field import odd_prime_power_field, quadratic_character_matrix
-from .matrix_core import (SizeBoundError, as_int_matrix, exact_matmul,
+from .matrix_core import (SizeBoundError, _frozen, as_int_matrix, exact_matmul,
                           identity, kronecker)
 
 _SYLVESTER_MAX_K = 10
@@ -21,14 +21,12 @@ class HadamardMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = as_int_matrix(self.matrix)
+        m = as_int_matrix(_frozen(self.matrix))
         if not bool(((m == 1) | (m == -1)).all()):
             raise ValueError("Hadamard entries must be +1 or -1")
         n = m.shape[0]
         if not np.array_equal(exact_matmul(m, m.T), n * identity(n)):
             raise ValueError("H @ H.T != order * I")
-        m = m.copy()
-        m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
     @property

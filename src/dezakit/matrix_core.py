@@ -6,12 +6,13 @@ block_circulant expands.  Products keeps the products of a matrix as
 such strips, with the height of the strip Digraph.from_strip made it
 from, or else the cyclic shift period it finds once; exact_matmul
 takes its right operand dense or as such a strip, never expanded.  0/1
-masks, such as the position strips of the verifiers, are bool.
-Every operation is pure and exact: no modular reduction, no
-floating-point rounding.  Large multiplies are routed through BLAS
-only when a proven bound guarantees that every intermediate value is
-an exactly representable integer: in float32 below 2^24, in float64
-below 2^53.
+masks, such as the position strips of the verifiers, are bool.  A
+Digraph carries one read-only 0/1 matrix, checked and stored once, by
+this module alone.  Every operation is pure and exact: no modular
+reduction, no floating-point rounding.  Large multiplies are routed
+through BLAS only when a proven bound guarantees that every
+intermediate value is an exactly representable integer: in float32
+below 2^24, in float64 below 2^53.
 """
 
 from __future__ import annotations
@@ -214,10 +215,18 @@ class Products:
 
 
 def _frozen(rows) -> np.ndarray:
-    """A read-only square int64 copy of rows, made with one copy."""
-    m = as_int_matrix(np.array(rows, dtype=np.int64))
+    """A read-only int64 copy of rows, made with one copy."""
+    m = np.array(rows, dtype=np.int64)
     m.setflags(write=False)
     return m
+
+
+def _check_adjacency(s: np.ndarray, loops_allowed: bool):
+    """Digraph's check of an int64 matrix or strip s: 0/1, and loop-free if asked."""
+    if not is_zero_one(s):
+        raise ValueError("adjacency entries must be 0 or 1")
+    if not loops_allowed and s[:, :s.shape[0]].trace() != 0:
+        raise ValueError("loops present but loops_allowed is False")
 
 
 @dataclass(frozen=True)
@@ -230,7 +239,7 @@ class Digraph:
     filled on first use and kept as long as the digraph, and _canonical
     the one-slot holder of its canonical form, which relabelled copies
     may share; equality and hashing ignore both, and _period, the strip
-    height of a digraph made by from_strip.
+    height its products take.  Only from_strip and _checked skip __post_init__.
     """
 
     adjacency: np.ndarray
@@ -238,35 +247,36 @@ class Digraph:
     _period = None
 
     def __post_init__(self):
-        m = _frozen(self.adjacency)
-        if not is_zero_one(m):
-            raise ValueError("adjacency entries must be 0 or 1")
-        if not self.loops_allowed and m.trace() != 0:
-            raise ValueError("loops present but loops_allowed is False")
+        m = as_int_matrix(_frozen(self.adjacency))
+        _check_adjacency(m, self.loops_allowed)
         object.__setattr__(self, "adjacency", m)
+
+    @classmethod
+    def _checked(cls, m: np.ndarray, loops_allowed=False, period=None, canonical=None) -> Digraph:
+        """The digraph on m itself, a read-only int64 0/1 matrix its caller
+        has checked: no copy, no second check.  Its products take period
+        (None: found once), and it shares the certificate holder canonical."""
+        d = object.__new__(cls)
+        d.__dict__.update(adjacency=m, loops_allowed=loops_allowed, _period=period,
+                          _canonical=canonical or [None])
+        return d
 
     @classmethod
     def from_strip(cls, strip, loops_allowed: bool = False) -> Digraph:
         """The digraph with adjacency block_circulant(strip), for an h x n
         0/1 strip with h | n, checked on the strip alone: every entry of
         the matrix is a strip entry, and its diagonal repeats that of the
-        strip's first block.  The matrix is the one n x n array made, and
-        its products take h as their period without a search."""
+        strip's first block.  The matrix is the one n x n array made (a
+        square strip of the caller's own int64 array is copied), and its
+        products take h as their period without a search."""
         s = np.asarray(strip, dtype=np.int64)
         h = _strip_height(s)
-        if not is_zero_one(s):
-            raise ValueError("adjacency entries must be 0 or 1")
-        if not loops_allowed and s[:, :h].trace() != 0:
-            raise ValueError("loops present but loops_allowed is False")
+        _check_adjacency(s, loops_allowed)
         m = block_circulant(s)
-        if m is s:
+        if m is s and (s is strip or s.base is not None):
             m = m.copy()
         m.setflags(write=False)
-        d = object.__new__(cls)
-        for name, value in (("adjacency", m), ("loops_allowed", loops_allowed),
-                            ("_period", h)):
-            object.__setattr__(d, name, value)
-        return d
+        return cls._checked(m, loops_allowed, h)
 
     @property
     def n(self) -> int:
@@ -294,11 +304,7 @@ class SignedMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = _frozen(self.matrix)
+        m = as_int_matrix(_frozen(self.matrix))
         if max_abs(m) > 1:
             raise ValueError("entries must lie in {-1, 0, 1}")
         object.__setattr__(self, "matrix", m)
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]

@@ -11,7 +11,7 @@ import numpy as np
 
 from .construct import quadratic_residue_matrix
 from .finite_field import odd_prime_power_field
-from .matrix_core import Digraph, exact_matmul, identity, ones
+from .matrix_core import Digraph, _frozen, exact_matmul, identity, ones
 from .verify import DezaParams, VerificationReport, verify_deza_digraph
 
 
@@ -48,7 +48,7 @@ def verify_scheme(matrices) -> AssociationScheme:
     full linear combination A_i A_j = sum_k p_{i,j}^k A_k is re-checked
     entrywise, so near-schemes are rejected rather than averaged.
     """
-    mats = [np.asarray(m, dtype=np.int64) for m in matrices]
+    mats = [_frozen(m) for m in matrices]
     if not mats:
         raise SchemeError(1, "no relation matrices given")
     n = mats[0].shape[0]
@@ -90,13 +90,7 @@ def verify_scheme(matrices) -> AssociationScheme:
         for j in range(1, d + 1):
             if not np.array_equal(prod[i][j], prod[j][i]):
                 raise SchemeError(5, f"A_{i} and A_{j} do not commute")
-    froz = []
-    for m in mats:
-        c = m.copy()
-        c.setflags(write=False)
-        froz.append(c)
-    p.setflags(write=False)
-    return AssociationScheme(tuple(froz), p)
+    return AssociationScheme(tuple(mats), _frozen(p))
 
 
 @dataclass(frozen=True)

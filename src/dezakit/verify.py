@@ -263,7 +263,11 @@ def deza_children(d: Digraph) -> tuple[Digraph, Digraph]:
     report = verify_deza_digraph(d)
     if not report.ok:
         raise ValueError(f"not a directed Deza graph: {report.witness}")
-    p = report.params
+    return _children(d, report.params)
+
+
+def _children(d: Digraph, p: DezaParams) -> tuple[Digraph, Digraph]:
+    """deza_children of d, whose directed Deza parameters p are verified."""
     x, y = _positions(d.products.square_strip, p.a, p.b)
     return Digraph.from_strip(x), Digraph.from_strip(y if p.a != p.b else np.zeros_like(y))
 

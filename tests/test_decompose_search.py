@@ -390,6 +390,21 @@ def test_search_checks_arguments_before_parity():
         search_deza_digraphs(DezaParams(5, 2, 1, 0, 1), limit=-1)
 
 
+@pytest.mark.parametrize("search", [
+    lambda: search_deza_digraphs(DezaParams(6, 2, 1, 0, 1)),
+    lambda: [d for _, d in search_dsrg(6)],
+], ids=["deza", "dsrg"])
+def test_search_hits_are_read_only_digraphs(search):
+    hits = search()
+    assert len(hits) > 1
+    for d in hits:
+        fresh = Digraph(d.adjacency)
+        assert not d.adjacency.flags.writeable and d.adjacency.dtype == np.int64
+        assert d == fresh and hash(d) == hash(fresh) and repr(d) == repr(fresh)
+        with pytest.raises(ValueError):
+            d.adjacency[0, 0] = 1
+
+
 def test_search_limit():
     assert len(search_deza_digraphs(DezaParams(5, 1, 1, 0, 0), limit=2)) == 2
     # a negative limit is an error, not a search that finds nothing

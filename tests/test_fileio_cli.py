@@ -171,6 +171,21 @@ def test_read_matrix_errors(tmp_path):
     assert exc.value.line == 1 and exc.value.column == 1
 
 
+@pytest.mark.parametrize("last", ["1 1", "garbage here"])
+def test_cli_rejects_content_after_the_last_row(tmp_path, capsys, last):
+    path = tmp_path / "extra.txt"
+    path.write_text(f"2 binary\n0 1\n1 0\n{last}\n")
+    assert run_cli("verify", path, "--as", "dsrg") == 2
+    err = capsys.readouterr().err
+    assert err == "error: line 4, column 1: content after the last of 2 rows\n"
+
+
+def test_read_matrix_accepts_trailing_blank_lines(tmp_path):
+    path = tmp_path / "blank.txt"
+    path.write_text("2 binary\n0 1\n1 0\n\n \t\n")
+    assert np.array_equal(read_matrix(path), [[0, 1], [1, 0]])
+
+
 def test_read_digraph_loops_flag(tmp_path):
     path = tmp_path / "loopy.txt"
     write_matrix(np.eye(3, dtype=np.int64), path)
@@ -290,6 +305,23 @@ def test_cli_children(tmp_path, deza_8_3):
     assert run_cli("children", mfile, "--out-x", out_x, "--out-y", out_y) == 0
     x, y = read_matrix(out_x), read_matrix(out_y)
     assert np.array_equal(x + y + np.eye(8, dtype=np.int64), np.ones((8, 8), dtype=np.int64))
+
+
+@pytest.mark.parametrize("command", ["children", "verify"])
+def test_cli_verifies_once_before_it_writes_children(tmp_path, monkeypatch, deza_8_3,
+                                                     command):
+    mfile, prefix = tmp_path / "m.txt", tmp_path / "kids"
+    write_matrix(deza_8_3.adjacency, mfile)
+    calls, inner = [], dz.verify.verify_deza_digraph
+    monkeypatch.setattr(dz.verify, "verify_deza_digraph", lambda d: calls.append(d) or inner(d))
+    argv = (("children", mfile, "--out-x", f"{prefix}_X.txt", "--out-y", f"{prefix}_Y.txt")
+            if command == "children" else
+            ("verify", mfile, "--as", "deza", "--children-prefix", prefix))
+    assert run_cli(*argv) == 0
+    assert len(calls) == 1
+    x, y = dz.deza_children(deza_8_3)
+    assert np.array_equal(read_matrix(f"{prefix}_X.txt"), x.adjacency)
+    assert np.array_equal(read_matrix(f"{prefix}_Y.txt"), y.adjacency)
 
 
 def test_cli_verify_children_references(tmp_path, deza_8_3):

@@ -34,6 +34,19 @@ def test_only_matrix_core_makes_products():
     assert [f.split(":")[0] for f in found] == ["matrix_core.py"]
 
 
+def test_only_matrix_core_makes_digraphs_without_post_init():
+    # Digraph._checked is the one way past Digraph.__post_init__, and no
+    # other module writes an object's __dict__
+    src = Path(dezakit.__file__).parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Attribute) and (
+                 node.attr == "__dict__"
+                 or node.attr == "__new__" and getattr(node.value, "id", None) == "object")]
+    assert {f.split(":")[0] for f in found} <= {"matrix_core.py"}
+
+
 @pytest.mark.parametrize("search", [
     lambda: decompose_search.search_deza_digraphs(DezaParams(5, 1, 1, 0, 0)),
     lambda: decompose_search.search_dsrg(6),

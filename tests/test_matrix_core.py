@@ -1,3 +1,6 @@
+import tracemalloc
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -547,3 +550,43 @@ def test_from_strip_rejects_bad_shapes(shape):
 def test_from_strip_checks_the_order_before_expanding():
     with pytest.raises(SizeBoundError, match="exceeds the bound"):
         Digraph.from_strip(np.zeros((1, MAX_ORDER + 1), dtype=np.int64))
+
+
+def test_from_strip_of_a_bool_strip_makes_one_array():
+    # the int64 copy of the strip is the adjacency: no second n x n array
+    n = 1000
+    strip = np.zeros((n, n), dtype=bool)
+    strip[0, 1] = True
+    tracemalloc.start()
+    try:
+        d = Digraph.from_strip(strip)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d.adjacency[0, 1] == 1 and d.products.period == n
+    assert 8 * n * n <= peak < 9 * n * n
+
+
+def test_from_strip_never_aliases_an_int64_square_strip():
+    base = np.zeros((6, 6), dtype=np.int64)
+    base[0, 1] = 1
+    frozen = base.copy()
+    frozen.setflags(write=False)
+    for strip in (base, base[:, :], frozen, memoryview(base)):
+        d = Digraph.from_strip(strip)
+        assert not np.shares_memory(d.adjacency, base)
+        assert not np.shares_memory(d.adjacency, frozen)
+        assert not d.adjacency.flags.writeable
+    base[0, 2] = 1
+    assert d.adjacency[0, 2] == 0
+
+
+@pytest.mark.parametrize("make", [construct.twin_deza, lambda h: construct.twin_directed(h)[0]],
+                         ids=["twin", "twin-directed"])
+def test_twin_pair_derives_its_signed_matrix(make):
+    pair = make(hadamard.sylvester(2))
+    a, b = pair.positive_part.adjacency, pair.negative_part.adjacency
+    assert [f.name for f in fields(pair)] == ["positive_part", "negative_part", "hadamard"]
+    assert np.array_equal(pair.signed.matrix, a - b)
+    assert not pair.signed.matrix.flags.writeable
+    assert pair.block_order == 4 and pair.block_classes()[-1] == list(range(24, 28))
