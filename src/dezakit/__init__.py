@@ -15,8 +15,8 @@ from .decompose_search import (Decomposition, canonical_form, decompose_b_eq_t,
 from .finite_field import FiniteField, make_field, rep
 from .hadamard import (HadamardMatrix, is_skew_type, normalize, paley_skew,
                        sylvester)
-from .matrix_core import (Digraph, Products, SignedMatrix, SizeBoundError,
-                          block_circulant, circulant, exact_matmul, kronecker)
+from .matrix_core import (Digraph, SignedMatrix, SizeBoundError, block_circulant,
+                          circulant, exact_matmul, kronecker)
 from .scheme import (AssociationScheme, FusionReport, SchemeError,
                      fusion_digraph, paley_tournament, tournament_scheme,
                      verify_scheme)

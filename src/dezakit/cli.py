@@ -134,7 +134,7 @@ def _run_classifier(name: str, d: Digraph, partition,
         elif name == "deza-graph":
             rep = verify.verify_deza_graph(d, reflexive=False)
         elif name == "reflexive":
-            if np.array_equal(d.adjacency, d.adjacency.T):
+            if np.array_equal(d.strip, d.co_strip):
                 rep = verify.verify_deza_graph(d, reflexive=True)
             else:
                 rep = verify.verify_reflexive_directed_deza(d)

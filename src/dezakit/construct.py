@@ -13,8 +13,8 @@ import numpy as np
 from .finite_field import (Element, FiniteField, odd_prime_power_field,
                            quadratic_character_matrix, rep)
 from .hadamard import HadamardMatrix, is_normalized, is_skew_type
-from .matrix_core import (Digraph, SignedMatrix, check_order, circulant,
-                          exact_matmul, identity, kronecker, ones, zeros)
+from .matrix_core import (Digraph, SignedMatrix, SizeBoundError, check_order,
+                          circulant, exact_matmul, identity, kronecker, ones, zeros)
 from .verify import DesignParams, DezaParams, DsrgParams, verify_symmetric_design
 
 
@@ -301,7 +301,7 @@ def check_construction_identities(field: FiniteField) -> IdentityReport:
     over every index tuple.  Failures are reported with the first
     counterexample, not raised."""
     if field.q > 7:
-        raise ValueError("exhaustive identity ranges are limited to q <= 7")
+        raise SizeBoundError("exhaustive identity ranges are limited to q <= 7")
     q = field.q
     size = 2 * q + 3
     syms = _symbols(field)

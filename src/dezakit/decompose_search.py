@@ -90,7 +90,7 @@ def decompose_b_eq_t(d: Digraph) -> Decomposition:
     if params.a == params.b:
         raise ValueError("a = b leaves the quotient relation trivial; "
                          "decomposition requires two distinct path counts")
-    quotient_m, class_map, n2 = _lex_quotient(d, report, d.products.square_strip, "b-count")
+    quotient_m, class_map, n2 = _lex_quotient(d, report, d.square_strip, "b-count")
     quotient = Digraph(quotient_m)
     qreport = verify_dsrg(quotient)
     if not qreport.ok:
@@ -116,7 +116,7 @@ def decompose_type2_b_eq_k(d: Digraph) -> Decomposition:
         raise ValueError(f"b = {params.b} differs from k = {params.k}")
     if params.a == params.b:
         raise ValueError("a = b leaves the quotient relation trivial")
-    quotient_m, class_map, n2 = _lex_quotient(d, report, d.products.gram_strip,
+    quotient_m, class_map, n2 = _lex_quotient(d, report, d.gram_strip,
                                               "shared-neighbourhood")
     quotient = Digraph(quotient_m)
     design = verify_symmetric_design(quotient)

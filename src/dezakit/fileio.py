@@ -38,13 +38,14 @@ def _matrix_text(m: np.ndarray) -> bytes:
     text = b"%d %s\n" % (n, b"signed" if lo < 0 else b"binary")
     if lo >= 0:  # digits at even offsets, separators at odd ones
         rows = np.full((n, 2 * n), 32, dtype=np.uint8)
-        rows[:, 0::2] = m + 48
+        np.add(m, 48, out=rows[:, 0::2], casting="unsafe")
         rows[:, -1] = 10
         return text + rows.tobytes()
-    # sign byte, digit, separator; a 0 sign byte is dropped
+    # sign byte, digit, separator; a 0 sign byte is dropped.  The ufuncs
+    # write straight into the bytes, with no n x n int64 temporary.
     cells = np.full((n, n, 3), 32, dtype=np.uint8)
-    cells[..., 0] = 45 * (m < 0)
-    cells[..., 1] = 48 + np.abs(m)
+    np.multiply(m < 0, 45, out=cells[..., 0], casting="unsafe")
+    np.add(m != 0, 48, out=cells[..., 1], casting="unsafe")
     cells[:, -1, 2] = 10
     cells = cells.reshape(-1)
     return text + cells[cells != 0].tobytes()

@@ -2,17 +2,16 @@
 
 Matrices are numpy arrays of dtype int64.  They are square, except for
 strips: the h x n first block row of a block-circulant matrix, which
-block_circulant expands.  Products keeps the products of a matrix as
-such strips, with the height of the strip Digraph.from_strip made it
-from, or else the cyclic shift period it finds once; exact_matmul
+block_circulant expands.  A Digraph carries one read-only 0/1 matrix,
+checked and stored once, by this module alone, and keeps its products
+as such strips, with the height of the strip Digraph.from_strip made
+it from, or else the cyclic shift period it finds once; exact_matmul
 takes its right operand dense or as such a strip, never expanded.  0/1
-masks, such as the position strips of the verifiers, are bool.  A
-Digraph carries one read-only 0/1 matrix, checked and stored once, by
-this module alone.  Every operation is pure and exact: no modular
-reduction, no floating-point rounding.  Large multiplies are routed
-through BLAS only when a proven bound guarantees that every
-intermediate value is an exactly representable integer: in float32
-below 2^24, in float64 below 2^53.
+masks, such as the position strips of the verifiers, are bool.  Every
+operation is pure and exact: no modular reduction, no floating-point
+rounding.  Large multiplies are routed through BLAS only when a proven
+bound guarantees that every intermediate value is an exactly
+representable integer: in float32 below 2^24, in float64 below 2^53.
 """
 
 from __future__ import annotations
@@ -188,32 +187,6 @@ def circulant(first_row) -> np.ndarray:
     return block_circulant(row[None, :])
 
 
-class Products:
-    """The products of one matrix m that the verifiers read: m m, m m^t
-    and m^t m, computed on first use and then shared, so no reader may
-    write to them.  Digraph.products is the one place that makes them.
-
-    m and m^t are invariant under the same cyclic index shifts, so each
-    product is block-circulant with any shift period h of m: the given
-    one, the strip height of a Digraph.from_strip, or else the smallest,
-    which a Products finds when it is made (n when m has none or n <
-    _BLAS_MIN_ORDER), and no other code looks for it.  Each product is
-    kept only as its first h rows, the exact_matmul of the first h rows
-    (strip and co_strip, views) of m and m^t; block_circulant expands a
-    strip."""
-
-    def __init__(self, m: np.ndarray, period: int | None = None):
-        n = m.shape[0]
-        if period is None:
-            period = _shift_period(m) if n >= _BLAS_MIN_ORDER else n
-        self.period = period
-        self.strip, self.co_strip = m[:period], m.T[:period]
-
-    square_strip = cached_property(lambda self: exact_matmul(self.strip, self.strip))
-    gram_strip = cached_property(lambda self: exact_matmul(self.strip, self.co_strip))
-    cogram_strip = cached_property(lambda self: exact_matmul(self.co_strip, self.strip))
-
-
 def _frozen(rows) -> np.ndarray:
     """A read-only int64 copy of rows, made with one copy."""
     m = np.array(rows, dtype=np.int64)
@@ -231,20 +204,24 @@ def _check_adjacency(s: np.ndarray, loops_allowed: bool):
 
 @dataclass(frozen=True)
 class Digraph:
-    """A digraph carried by its 0/1 adjacency matrix.
+    """A digraph carried by its 0/1 adjacency matrix M.
 
     Loops (diagonal ones) are rejected unless loops_allowed is set; the
-    reflexive constructions are the only producers of loops.  products
-    holds the strips of M^2, M M^t and M^t M that every verifier reads,
-    filled on first use and kept as long as the digraph, and _canonical
-    the one-slot holder of its canonical form, which relabelled copies
-    may share; equality and hashing ignore both, and _period, the strip
-    height its products take.  Only from_strip and _checked skip __post_init__.
+    reflexive constructions are the only producers of loops.  Every
+    verifier reads a digraph through its strips, each made on first use
+    and then shared, so no reader may write to them: strip and co_strip,
+    the first period rows of M and M^t (views), and the exact_matmul
+    strips of M^2, M M^t and M^t M.  M and M^t share every cyclic shift
+    period, so each product is block-circulant with period h: the strip
+    height of a from_strip, or else the smallest, found once (n when M
+    has none or n < _BLAS_MIN_ORDER).  _canonical is the one-slot holder
+    of its canonical form, which relabelled copies may share; equality
+    and hashing ignore all of these.  Only from_strip and _checked skip
+    __post_init__.
     """
 
     adjacency: np.ndarray
     loops_allowed: bool = False
-    _period = None
 
     def __post_init__(self):
         m = as_int_matrix(_frozen(self.adjacency))
@@ -254,11 +231,13 @@ class Digraph:
     @classmethod
     def _checked(cls, m: np.ndarray, loops_allowed=False, period=None, canonical=None) -> Digraph:
         """The digraph on m itself, a read-only int64 0/1 matrix its caller
-        has checked: no copy, no second check.  Its products take period
+        has checked: no copy, no second check.  Its strips take period
         (None: found once), and it shares the certificate holder canonical."""
         d = object.__new__(cls)
-        d.__dict__.update(adjacency=m, loops_allowed=loops_allowed, _period=period,
+        d.__dict__.update(adjacency=m, loops_allowed=loops_allowed,
                           _canonical=canonical or [None])
+        if period is not None:
+            d.__dict__["period"] = period
         return d
 
     @classmethod
@@ -268,7 +247,7 @@ class Digraph:
         the matrix is a strip entry, and its diagonal repeats that of the
         strip's first block.  The matrix is the one n x n array made (a
         square strip of the caller's own int64 array is copied), and its
-        products take h as their period without a search."""
+        strips take h as their period without a search."""
         s = np.asarray(strip, dtype=np.int64)
         h = _strip_height(s)
         _check_adjacency(s, loops_allowed)
@@ -282,10 +261,13 @@ class Digraph:
     def n(self) -> int:
         return self.adjacency.shape[0]
 
-    @cached_property
-    def products(self) -> Products:
-        return Products(self.adjacency, self._period)
-
+    period = cached_property(
+        lambda self: _shift_period(self.adjacency) if self.n >= _BLAS_MIN_ORDER else self.n)
+    strip = cached_property(lambda self: self.adjacency[:self.period])
+    co_strip = cached_property(lambda self: self.adjacency.T[:self.period])
+    square_strip = cached_property(lambda self: exact_matmul(self.strip, self.strip))
+    gram_strip = cached_property(lambda self: exact_matmul(self.strip, self.co_strip))
+    cogram_strip = cached_property(lambda self: exact_matmul(self.co_strip, self.strip))
     _canonical = cached_property(lambda self: [None])
 
     def __eq__(self, other):

@@ -3,19 +3,21 @@ type-II directed Deza graphs, divisible design digraphs, (reflexive)
 Deza graphs, and symmetric designs, with exact parameter extraction.
 
 Every verifier is exact: parameters are read off integer matrices and
-all identities are checked entrywise.  Each reads M^2, M M^t and M^t M
-from d.products, which its Digraph fills on first use and keeps, so
-verifiers run on one digraph compute each product once.  A product
-invariant under the cyclic index shift by h is read from its first h
-rows (a Products strip): its diagonal entries there are s[i, i] for
-i < h, and every other entry of the product occurs n/h times as often
-as in the strip.  Degrees are row sums of the strips of M and M^t.  A
-shift-invariant degree or entry first fails in row-major order in a row
-below h, so the witnesses name the vertices and pairs the dense matrices
-would.  Definitional failures are reported (classification "not_member"
-plus a witness); malformed calls raise ValueError.  A report holds
-parameters and counts only, never an n x n matrix: deza_children reads
-the position digraphs X and Y off the strip of M^2 when they are wanted.
+all identities are checked entrywise.  Each reads the digraph d through
+its strips alone, never its n x n matrix: the first h = d.period rows
+of M and M^t, and of M^2, M M^t and M^t M, which d fills on first use
+and keeps, so verifiers run on one digraph compute each product once.
+Every one of these matrices is invariant under the cyclic index shift
+by h: the diagonal entries of a strip s are s[i, i] for i < h, and every
+other entry of the matrix occurs n/h times as often as in the strip.
+Loops are the diagonal of d.strip, symmetry is d.strip == d.co_strip,
+and degrees are row sums of the two.  A shift-invariant degree or entry
+first fails in row-major order in a row below h, so the witnesses name
+the vertices and pairs the dense matrices would.  Definitional
+failures are reported (classification "not_member" plus a witness);
+malformed calls raise ValueError.  A report holds parameters and counts
+only, never an n x n matrix: deza_children reads the position digraphs
+X and Y off the strip of M^2 when they are wanted.
 """
 
 from __future__ import annotations
@@ -113,8 +115,8 @@ def _fail(witness: str) -> VerificationReport:
 
 
 def _regularity(d: Digraph) -> tuple[int | None, str | None]:
-    rows = d.products.strip.sum(axis=1)
-    cols = d.products.co_strip.sum(axis=1)
+    rows = d.strip.sum(axis=1)
+    cols = d.co_strip.sum(axis=1)
     k = int(rows[0])
     if not (rows == k).all():
         u = int(np.argmax(rows != k))
@@ -238,14 +240,14 @@ def verify_deza_digraph(d: Digraph) -> VerificationReport:
     M^2 two-valued.  The t = k case is flagged as an undirected Deza
     graph and the a = b case as a DSRG.
     """
-    m, n = d.adjacency, d.n
+    n = d.n
     # a Digraph made without loops_allowed was checked loop-free
-    if d.loops_allowed and m.trace() != 0:
+    if d.loops_allowed and np.diagonal(d.strip).any():
         raise ValueError("digraph has loops; use the reflexive verifier")
     k, witness = _regularity(d)
     if witness:
         return _fail(witness)
-    s = d.products.square_strip
+    s = d.square_strip
     diag = np.diagonal(s)
     t = int(diag[0])
     if not (diag == t).all():
@@ -268,7 +270,7 @@ def deza_children(d: Digraph) -> tuple[Digraph, Digraph]:
 
 def _children(d: Digraph, p: DezaParams) -> tuple[Digraph, Digraph]:
     """deza_children of d, whose directed Deza parameters p are verified."""
-    x, y = _positions(d.products.square_strip, p.a, p.b)
+    x, y = _positions(d.square_strip, p.a, p.b)
     return Digraph.from_strip(x), Digraph.from_strip(y if p.a != p.b else np.zeros_like(y))
 
 
@@ -315,17 +317,17 @@ def feasibility(params: DezaParams) -> Feasibility:
 
 def verify_dsrg(d: Digraph) -> VerificationReport:
     """Fit M^2 = tI + lam*M + mu*(J - I - M) exactly."""
-    m, n = d.adjacency, d.n
-    if d.loops_allowed and m.trace() != 0:
+    n = d.n
+    if d.loops_allowed and np.diagonal(d.strip).any():
         raise ValueError("digraph has loops")
     k, witness = _regularity(d)
     if witness:
         return _fail(witness)
-    s = d.products.square_strip
+    s = d.square_strip
     t = int(s[0, 0])
     if not (np.diagonal(s) == t).all():
         return _fail(f"diag(M^2) not constant: {_value_multiset(s)}")
-    strip, co_strip = d.products.strip, d.products.co_strip
+    strip, co_strip = d.strip, d.co_strip
     arc, non = strip == 1, strip == 0
     np.fill_diagonal(arc, False)
     np.fill_diagonal(non, False)
@@ -342,13 +344,13 @@ def verify_dsrg(d: Digraph) -> VerificationReport:
 
 def verify_type2(d: Digraph) -> VerificationReport:
     """Fit type-II parameters: M M^t = M^t M = aX + bY + kI with X + Y + I = J."""
-    m, n = d.adjacency, d.n
-    if d.loops_allowed and m.trace() != 0:
+    n = d.n
+    if d.loops_allowed and np.diagonal(d.strip).any():
         raise ValueError("digraph has loops; use the reflexive verifier")
     k, witness = _regularity(d)
     if witness:
         return _fail(witness)
-    g, g2 = d.products.gram_strip, d.products.cogram_strip
+    g, g2 = d.gram_strip, d.cogram_strip
     if not np.array_equal(g, g2):
         u, v = np.argwhere(g != g2)[0]
         return _fail(f"M M^t != M^t M first at ({int(u)}, {int(v)}): "
@@ -387,25 +389,24 @@ def verify_ddd(d: Digraph, partition) -> VerificationReport:
     so the combined dominates-or-dominated count is exactly twice the
     reported lambda.
     """
-    m, n = d.adjacency, d.n
+    n = d.n
     label, n_classes, size = _check_partition(n, partition)
-    # read the first h rows when the period shift maps classes onto classes:
-    # img[label[i]] = label[i + h] is well defined (equal sizes make it onto)
-    products = d.products
-    h = products.period
-    shifted = np.roll(label, -h)
-    img = np.empty(n_classes, dtype=np.int64)
-    img[label] = shifted
-    if not np.array_equal(img[label], shifted):
-        h = n
-    mutual = m[:h] + m.T[:h]
+    mutual = d.strip + d.co_strip
     if not (mutual <= 1).all():
         u, v = np.argwhere(mutual > 1)[0]
         return _fail(f"not asymmetric: mutual arcs between {int(u)} and {int(v)}")
     k, witness = _regularity(d)
     if witness:
         return _fail(witness)
-    gout, gin = products.gram_strip, products.cogram_strip
+    # read the first h rows when the period shift maps classes onto classes:
+    # img[label[i]] = label[i + h] is well defined (equal sizes make it onto)
+    h = d.period
+    shifted = np.roll(label, -h)
+    img = np.empty(n_classes, dtype=np.int64)
+    img[label] = shifted
+    if not np.array_equal(img[label], shifted):
+        h = n
+    gout, gin = d.gram_strip, d.cogram_strip
     if h == n:  # the whole products; block_circulant returns a square strip
         gout, gin = block_circulant(gout), block_circulant(gin)
     across_mask = label[:h, None] != label[None, :]
@@ -441,10 +442,10 @@ def discover_ddd_partition(d: Digraph) -> list[list[int]] | None:
     the grouping only if it is an equivalence with uniform class size
     that verifies.  Returns None when no partition is found.
     """
-    n, products = d.n, d.products
-    if not ((products.strip + products.co_strip) <= 1).all():
+    n = d.n
+    if not ((d.strip + d.co_strip) <= 1).all():
         return None
-    g = products.gram_strip
+    g = d.gram_strip
     vals = _offdiag_values(g)
     if len(vals) > 2:
         return None
@@ -488,11 +489,11 @@ def _equivalence_classes(rel: np.ndarray) -> list[list[int]] | None:
 def verify_deza_graph(d: Digraph, reflexive: bool = False) -> VerificationReport:
     """Fit undirected Deza parameters (n, k, b, a); reflexive inputs carry
     a loop at every vertex and count it in the degree."""
-    m, n = d.adjacency, d.n
-    if not np.array_equal(m, m.T):
-        u, v = np.argwhere(m != m.T)[0]
+    n, strip, co_strip = d.n, d.strip, d.co_strip
+    if not np.array_equal(strip, co_strip):
+        u, v = np.argwhere(strip != co_strip)[0]
         raise ValueError(f"adjacency not symmetric at ({int(u)}, {int(v)})")
-    diag = np.diagonal(m)
+    diag = np.diagonal(strip)
     if reflexive and not (diag == 1).all():
         raise ValueError("reflexive verification requires a loop at every vertex")
     if not reflexive and diag.any():
@@ -500,7 +501,7 @@ def verify_deza_graph(d: Digraph, reflexive: bool = False) -> VerificationReport
     k, witness = _regularity(d)
     if witness:
         return _fail(witness)
-    s = d.products.square_strip
+    s = d.square_strip
     t_eff = int(s[0, 0])
     if not (np.diagonal(s) == t_eff).all():
         return _fail(f"diag(M^2) not constant: {_value_multiset(s)}")
@@ -561,18 +562,17 @@ def verify_reflexive_directed_deza(d: Digraph) -> ReflexiveReport:
     M M^t = M^t M check.  Either statistic being two-valued with a
     constant diagonal classifies the input; the report records which.
     """
-    m, n = d.adjacency, d.n
-    if not (np.diagonal(m) == 1).all():
+    n = d.n
+    if not (np.diagonal(d.strip) == 1).all():
         raise ValueError("reflexive verification requires a loop at every vertex")
     k, witness = _regularity(d)
     if witness:
         empty = StatisticSummary("square", (), (), None, False, None)
         emptyg = StatisticSummary("gram", (), (), None, False, None)
         return ReflexiveReport(NOT_MEMBER, empty, emptyg, (), None, witness)
-    products = d.products
-    square = _summarize_statistic("square", products.square_strip, n, k, None)
-    commute = bool(np.array_equal(products.gram_strip, products.cogram_strip))
-    gram = _summarize_statistic("gram", products.gram_strip, n, k, commute)
+    square = _summarize_statistic("square", d.square_strip, n, k, None)
+    commute = bool(np.array_equal(d.gram_strip, d.cogram_strip))
+    gram = _summarize_statistic("gram", d.gram_strip, n, k, commute)
     matched = tuple(st.name for st in (square, gram) if st.two_valued)
     diag = square.diagonal_values
     mutual = diag[0] if len(diag) == 1 else None
@@ -591,7 +591,7 @@ def verify_symmetric_design(incidence: Digraph | np.ndarray) -> DesignParams:
     if witness:
         raise ValueError(f"line sums not constant: {witness}")
     lam = None
-    for g, name in ((d.products.gram_strip, "N N^t"), (d.products.cogram_strip, "N^t N")):
+    for g, name in ((d.gram_strip, "N N^t"), (d.cogram_strip, "N^t N")):
         if not (np.diagonal(g) == k).all():
             raise ValueError(f"Gram mismatch: diag({name}) != k")
         vals = _offdiag_values(g)

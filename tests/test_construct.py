@@ -242,7 +242,7 @@ def check_strip_built(d, h, dense=None):
     ref = Digraph(block_circulant(d.adjacency[:h]), loops_allowed=d.loops_allowed)
     assert d == ref and hash(d) == hash(ref)
     assert dense is None or (d == dense and hash(d) == hash(dense))
-    assert d.products.period == h
+    assert d.period == h
     classes = [list(range(i, i + h)) for i in range(0, d.n, h)]
     assert verifier_reports(d, classes) == verifier_reports(ref, classes)
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -135,6 +136,23 @@ def test_signed_round_trip(tmp_path):
     write_matrix(pair.signed.matrix, path)
     assert path.read_text().splitlines()[0] == "28 signed"
     assert np.array_equal(read_matrix(path), pair.signed.matrix)
+
+
+def test_matrix_text_makes_no_int64_temporary():
+    # the text of a 0/1 matrix is 2 n^2 bytes, held as the row buffer, its
+    # bytes and the text: 6 n^2; a signed one adds sign bytes and a mask
+    # to drop them.  An n x n int64 temporary would add 8 n^2 to either.
+    pair, _ = dz.twin_directed(dz.sylvester(4))
+    for m, bound in ((pair.positive_part.adjacency, 8), (pair.signed.matrix, 10)):
+        n = m.shape[0]
+        tracemalloc.start()
+        try:
+            text = _matrix_text(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert n == 496 and peak < bound * n * n
+        assert np.array_equal(_scan_matrix(text.decode("ascii")), m)
 
 
 @pytest.mark.parametrize("m,message", [
@@ -371,6 +389,15 @@ def test_cli_decompose_failure(tmp_path, deza_8_3):
 
 def test_cli_check_identities():
     assert run_cli("check-identities", "--q", 3) == 0
+
+
+@pytest.mark.parametrize("q, code", [(9, 3), (11, 3), (12, 2)])
+def test_cli_check_identities_bounds(capsys, q, code):
+    # q = 9 and 11 are past the suite's declared size bound; 12 is no
+    # prime power, a usage error
+    assert run_cli("check-identities", "--q", q) == code
+    err = capsys.readouterr().err
+    assert err.startswith("size bound exceeded:" if code == 3 else "error:")
 
 
 def test_cli_search_and_feasibility(capsys):

@@ -23,15 +23,12 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
-def test_only_matrix_core_makes_products():
-    # Digraph.products is the one owner of a matrix's products
-    src = Path(dezakit.__file__).parent
-    found = [f"{path.name}:{node.lineno}"
-             for path in sorted(src.glob("*.py"))
-             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-             if isinstance(node, ast.Call)
-             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "Products"]
-    assert [f.split(":")[0] for f in found] == ["matrix_core.py"]
+def test_verify_reads_no_adjacency():
+    # the verifiers read a Digraph through its strips, never its n x n matrix
+    path = Path(verify.__file__)
+    found = [node.lineno for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Attribute) and node.attr == "adjacency"]
+    assert found == []
 
 
 def test_only_matrix_core_makes_digraphs_without_post_init():

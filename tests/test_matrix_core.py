@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dezakit import construct, finite_field, hadamard
-from dezakit.matrix_core import (MAX_ORDER, _shift_period, Digraph, Products,
-                                 SignedMatrix, SizeBoundError, as_int_matrix,
-                                 block_circulant, circulant, exact_matmul,
-                                 identity, kronecker, max_abs, ones, zeros)
+from dezakit.matrix_core import (MAX_ORDER, _shift_period, Digraph, SignedMatrix,
+                                 SizeBoundError, as_int_matrix, block_circulant,
+                                 circulant, exact_matmul, identity, is_zero_one,
+                                 kronecker, max_abs, ones, zeros)
 
 from conftest import DEZA_8_3_3_1_0, naive_matmul
 
@@ -106,23 +106,24 @@ def test_block_circulant_order_bound():
 
 
 def test_products_identity():
-    p = Products(identity(4))
+    p = Digraph(identity(4), loops_allowed=True)
     assert np.array_equal(p.square_strip, identity(4))
     assert np.array_equal(block_circulant(p.gram_strip), identity(4))
     assert np.array_equal(block_circulant(p.cogram_strip), identity(4))
 
 
 def test_products_all_ones():
-    p = Products(ones(3))
+    p = Digraph(ones(3), loops_allowed=True)
     for g in (p.square_strip, p.gram_strip, p.cogram_strip):
         assert np.array_equal(g, 3 * ones(3))
 
 
 def test_gram_square_of_reference_example():
     m = DEZA_8_3_3_1_0
-    p = Products(m)
+    p = Digraph(m)
     s = p.square_strip
-    assert p.square_strip is s and np.shares_memory(p.strip, m)  # computed once, of m itself
+    # computed once, of the digraph's own matrix
+    assert p.square_strip is s and np.shares_memory(p.strip, p.adjacency)
     assert np.array_equal(block_circulant(p.gram_strip), naive_matmul(m, m.T))
     assert np.array_equal(block_circulant(p.cogram_strip), naive_matmul(m.T, m))
     assert (np.diagonal(s) == 0).all()
@@ -217,12 +218,12 @@ def test_digraph_adjacency_is_frozen():
 
 def test_digraph_owns_its_products():
     d = Digraph(DEZA_8_3_3_1_0)
-    p = d.products
-    assert d.products is p and np.shares_memory(p.strip, d.adjacency)
-    assert np.array_equal(p.square_strip, naive_matmul(DEZA_8_3_3_1_0, DEZA_8_3_3_1_0))
+    s = d.square_strip
+    assert d.square_strip is s and np.shares_memory(d.strip, d.adjacency)
+    assert np.array_equal(s, naive_matmul(DEZA_8_3_3_1_0, DEZA_8_3_3_1_0))
     # filled products change neither equality nor the hash
     fresh = Digraph(DEZA_8_3_3_1_0)
-    assert d == fresh and hash(d) == hash(fresh) and fresh.products is not p
+    assert d == fresh and hash(d) == hash(fresh) and fresh.square_strip is not s
 
 
 def test_signed_matrix_parts():
@@ -399,8 +400,9 @@ def test_detected_period_of_the_paper_families():
 
 
 def products_cases():
-    """(m, the period Products should find): periodic inputs of order
-    >= 128, one without a period, and small ones, periodic or not."""
+    """(m, the period a Digraph of m should find): periodic inputs of
+    order >= 128, one without a period, and small ones, periodic or not;
+    the order-128 one with period 16 is signed, not a digraph."""
     rng = np.random.default_rng(22)
     yield shift_invariant(rng, 1, 128, 0, 2), 1
     yield shift_invariant(rng, 4, 33, 0, 2), 4
@@ -413,7 +415,14 @@ def products_cases():
 def test_products_keep_the_strip_of_their_period():
     for m, period in products_cases():
         n = m.shape[0]
-        p = Products(m)
+        if not is_zero_one(m):
+            # no digraph: the strips of its products, read directly
+            assert _shift_period(m) == _shift_period(m.T) == period
+            for a, b in ((m, m), (m, m.T), (m.T, m)):
+                strip = exact_matmul(a[:period], b)
+                assert np.array_equal(block_circulant(strip), int64_oracle(a, b))
+            continue
+        p = Digraph(m, loops_allowed=True)
         assert p.period == period == (_shift_period(m.T) if n >= 128 else n)
         for strip, (a, b) in ((p.square_strip, (m, m)), (p.gram_strip, (m, m.T)),
                               (p.cogram_strip, (m.T, m))):
@@ -509,10 +518,10 @@ def test_from_strip_is_the_expanded_digraph():
         assert d.adjacency.dtype == np.int64 and not d.adjacency.flags.writeable
         # the period is the strip height, with no search; the strips are
         # views of the one adjacency
-        assert d.products.period == h
-        assert np.shares_memory(d.products.strip, d.adjacency)
-        assert np.shares_memory(d.products.co_strip, d.adjacency)
-        assert np.array_equal(block_circulant(d.products.square_strip),
+        assert d.period == h
+        assert np.shares_memory(d.strip, d.adjacency)
+        assert np.shares_memory(d.co_strip, d.adjacency)
+        assert np.array_equal(block_circulant(d.square_strip),
                               int64_oracle(ref.adjacency, ref.adjacency))
         # the digraph keeps no reference to the caller's strip
         strip[0, -1] ^= 1
@@ -523,7 +532,7 @@ def test_from_strip_accepts_bool_strips_and_loops_when_allowed():
     strip = np.array([[True, True, False, False], [False, True, True, False]])
     d = Digraph.from_strip(strip, loops_allowed=True)
     assert d == Digraph(block_circulant(strip.astype(np.int64)), loops_allowed=True)
-    assert d.loops_allowed and d.products.period == 2
+    assert d.loops_allowed and d.period == 2
 
 
 @pytest.mark.parametrize("strip", [
@@ -563,7 +572,7 @@ def test_from_strip_of_a_bool_strip_makes_one_array():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert d.adjacency[0, 1] == 1 and d.products.period == n
+    assert d.adjacency[0, 1] == 1 and d.period == n
     assert 8 * n * n <= peak < 9 * n * n
 
 

@@ -54,7 +54,7 @@ def test_traced_strip_products_count_their_dense_work():
     try:
         t.install()
         matrix_core.exact_matmul(strip, strip)
-        products = matrix_core.Products(matrix_core.circulant(strip[0]))
+        products = matrix_core.Digraph(matrix_core.circulant(strip[0]), loops_allowed=True)
         products.gram_strip
         metrics = t.metrics()
     finally:

@@ -383,11 +383,11 @@ def test_children_keep_the_period_and_equal_the_dense_masks(deza_8_3):
     )
     for d, period in cases:
         n, m = d.n, d.adjacency
-        assert d.products.period == period
+        assert d.period == period
         p = verify_deza_digraph(d).params
         s, off = m @ m, ~np.eye(n, dtype=bool)
         x, y = deza_children(d)
-        assert x._period == y._period == period
+        assert x.period == y.period == period
         assert np.array_equal(x.adjacency, (s == p.a) & off)
         assert np.array_equal(y.adjacency, (s == p.b) & off & (p.a != p.b))
         assert np.array_equal(p.a * x.adjacency + p.b * y.adjacency + p.t * identity(n), s)

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import dezakit as dz
 from dezakit import cli, fileio, matrix_core, verify
 from dezakit.fileio import report_to_dict
-from dezakit.matrix_core import Digraph, Products, _shift_period, block_circulant
+from dezakit.matrix_core import Digraph, _shift_period, block_circulant
 from dezakit.verify import (NOT_MEMBER, DddParams, DesignParams, DezaGraphParams,
                             DezaParams, DsrgParams, ReflexiveReport, StatisticSummary,
                             VerificationReport)
@@ -438,7 +438,7 @@ def block_circulant_matrices(draw):
 def test_block_circulant_verifiers_match_brute_force_counts(case):
     # the verifiers read these products from strips of height h < n
     m, classes = case
-    assert Products(m).period < m.shape[0]
+    assert Digraph(m, loops_allowed=True).period < m.shape[0]
     check_against_oracle(m, classes)
     check_shared_products(m, classes)
 
@@ -453,7 +453,7 @@ def test_ddd_of_twin_block_classes_reads_the_strips(monkeypatch):
     got = verify.verify_ddd(part, classes)
     verify.discover_ddd_partition(part)
     # bool position masks are expanded, but never a product strip
-    assert part.products.period == 16 and expanded and set(expanded) == {np.dtype(bool)}
+    assert part.period == 16 and expanded and set(expanded) == {np.dtype(bool)}
     assert not got.ok
     assert report_to_dict(got) == report_to_dict(ddd_oracle(part.adjacency.tolist(), classes))
 
@@ -535,13 +535,37 @@ def test_regularity_witness_of_a_periodic_digraph(h, n, arcs):
     for u, v in arcs:
         strip[u, v] = 1
     d = dz.Digraph(block_circulant(strip))
-    assert d.n >= 128 and d.products.period == h
+    assert d.n >= 128 and d.period == h
     want = dense_regularity_witness(d.adjacency)
     assert want and ("out-degrees" in want) == (h == 4)
     for verifier in (verify.verify_deza_digraph, verify.verify_dsrg, verify.verify_type2):
         assert verifier(d).witness == want
     with pytest.raises(ValueError, match=f"line sums not constant: {want}"):
         verify.verify_symmetric_design(d.adjacency)
+
+
+@pytest.mark.parametrize("arcs", [
+    # the undirected 132-cycle and the arc 2 -> 7, none of whose shifts
+    # by 4 reverses it: symmetric in rows 0 and 1, mutual arcs from row 0
+    [(0, 1), (0, 131), (1, 2), (1, 0), (2, 3), (2, 1), (3, 4), (3, 2), (2, 7)],
+    # the directed 132-cycle and the mutual arcs 1 <-> 6 (6 -> 1 is the
+    # shift by 4 of 2 -> 129): asymmetric from row 0, mutual from row 1
+    [(0, 1), (1, 2), (2, 3), (3, 4), (1, 6), (2, 129)]])
+def test_symmetry_and_asymmetry_witnesses_of_a_periodic_digraph(arcs):
+    h, n = 4, 132
+    strip = np.zeros((h, n), dtype=np.int64)
+    for u, v in arcs:
+        strip[u, v] = 1
+    m = block_circulant(strip)
+    d, rows = dz.Digraph(m), m.tolist()
+    assert d.period == h
+    u, v = first(n, lambda u, v: rows[u][v] != rows[v][u])
+    with pytest.raises(ValueError, match=rf"^adjacency not symmetric at \({u}, {v}\)$"):
+        verify.verify_deza_graph(d)
+    classes = [[i] for i in range(n)]
+    got = verify.verify_ddd(d, classes)
+    assert "not asymmetric" in got.witness
+    assert report_to_dict(got) == report_to_dict(ddd_oracle(rows, classes))
 
 
 @pytest.fixture
@@ -561,7 +585,7 @@ def period_calls(monkeypatch):
 
 def test_the_shift_period_is_found_once_per_matrix(tmp_path, capsys, period_calls):
     # the order-136 blow-up of paley_skew(67) has no period: every product
-    # is dense, and still only Products looks for one
+    # is dense, and still only the Digraph looks for one
     path = str(tmp_path / "skew136.txt")
     assert cli.main(["construct", "skew-hadamard", "--u", "17", "--out", path]) == 0
     period_calls.clear()
@@ -572,8 +596,8 @@ def test_the_shift_period_is_found_once_per_matrix(tmp_path, capsys, period_call
     part = dz.twin_directed(dz.sylvester(4))[0].positive_part
     dense = Digraph(part.adjacency)
     period_calls.clear()
-    assert verify.verify_type2(part).ok and part.products.period == 16
+    assert verify.verify_type2(part).ok and part.period == 16
     assert period_calls == []
-    assert verify.verify_type2(dense).ok and dense.products.period == 16
+    assert verify.verify_type2(dense).ok and dense.period == 16
     assert period_calls == [496]
 
