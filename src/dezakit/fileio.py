@@ -16,7 +16,8 @@ import numpy as np
 
 from .matrix_core import MAX_ORDER, Digraph, SizeBoundError, as_int_matrix, check_order
 
-ALPHABETS = {"binary": {0, 1}, "signed": {-1, 0, 1}}
+# each alphabet's entries, by the one spelling a file may give them
+ALPHABETS = {"binary": {"0": 0, "1": 1}, "signed": {"-1": -1, "0": 0, "1": 1}}
 
 DIGRAPH6_MAX_ORDER = 258
 
@@ -28,27 +29,33 @@ class MatrixParseError(ValueError):
         self.column = column
 
 
-def _matrix_text(m: np.ndarray) -> bytes:
-    """The file text of m; raises for a matrix read_matrix would reject."""
+def _matrix_text(m: np.ndarray) -> bytearray:
+    """The file text of m, made in one buffer with its header; raises
+    for a matrix read_matrix would reject."""
     m = as_int_matrix(m)
     n = m.shape[0]
     lo, hi = int(m.min()), int(m.max())
     if lo < -1 or hi > 1:
         raise ValueError(f"entry {lo if lo < -1 else hi} outside alphabet signed")
-    text = b"%d %s\n" % (n, b"signed" if lo < 0 else b"binary")
-    if lo >= 0:  # digits at even offsets, separators at odd ones
-        rows = np.full((n, 2 * n), 32, dtype=np.uint8)
-        np.add(m, 48, out=rows[:, 0::2], casting="unsafe")
-        rows[:, -1] = 10
-        return text + rows.tobytes()
-    # sign byte, digit, separator; a 0 sign byte is dropped.  The ufuncs
-    # write straight into the bytes, with no n x n int64 temporary.
-    cells = np.full((n, n, 3), 32, dtype=np.uint8)
-    np.multiply(m < 0, 45, out=cells[..., 0], casting="unsafe")
-    np.add(m != 0, 48, out=cells[..., 1], casting="unsafe")
-    cells[:, -1, 2] = 10
-    cells = cells.reshape(-1)
-    return text + cells[cells != 0].tobytes()
+    head = b"%d %s\n" % (n, b"signed" if lo < 0 else b"binary")
+    # per entry a sign byte (signed text only), the digit and a separator;
+    # a 0 sign byte is dropped.  The ufuncs write straight into the text,
+    # with no n x n temporary.
+    width = 2 if lo >= 0 else 3
+    text = bytearray(len(head) + width * n * n)
+    text[:len(head)] = head
+    cells = np.frombuffer(text, dtype=np.uint8, offset=len(head)).reshape(n, n, width)
+    cells[..., -1] = 32
+    cells[:, -1, -1] = 10
+    digits = cells[..., -2]
+    np.absolute(m, out=digits, casting="unsafe")
+    digits += 48
+    if width == 2:
+        return text
+    signs = cells[..., 0]
+    np.less(m, 0, out=signs, casting="unsafe")
+    signs *= 45
+    return text.replace(b"\0", b"")
 
 
 def write_matrix(m: np.ndarray, path) -> None:
@@ -85,7 +92,7 @@ def _scan_matrix(text: str) -> np.ndarray:
     n = int(header[0])
     if n == 0:
         raise MatrixParseError(1, 1, "order must be positive")
-    allowed = ALPHABETS[header[1]]
+    spellings = ALPHABETS[header[1]]
     if len(lines) < n + 1:
         raise MatrixParseError(len(lines) + 1, 1, f"expected {n} rows, file has {len(lines) - 1}")
     if len(text) < n * (2 * n - 1):  # some row is too short for n tokens
@@ -99,13 +106,10 @@ def _scan_matrix(text: str) -> np.ndarray:
             raise MatrixParseError(i + 2, len(tokens) + 1,
                                    f"expected {n} tokens, got {len(tokens)}")
         for j, tok in enumerate(tokens):
-            try:
-                v = int(tok)
-            except ValueError:
-                raise MatrixParseError(i + 2, j + 1, f"not an integer: {tok!r}") from None
-            if v not in allowed:
+            v = spellings.get(tok)
+            if v is None:
                 raise MatrixParseError(i + 2, j + 1,
-                                       f"token {v} outside alphabet {header[1]}")
+                                       f"token {tok!r} outside alphabet {header[1]}")
             out[i, j] = v
     extra = next((i for i in range(n + 1, len(lines)) if lines[i].strip()), None)
     if extra is not None:

@@ -9,9 +9,10 @@ it from, or else the cyclic shift period it finds once; exact_matmul
 takes its right operand dense or as such a strip, never expanded.  0/1
 masks, such as the position strips of the verifiers, are bool.  Every
 operation is pure and exact: no modular reduction, no floating-point
-rounding.  Large multiplies are routed through BLAS only when a proven
-bound guarantees that every intermediate value is an exactly
+rounding.  Multiplies of every order are routed through BLAS when a
+proven bound guarantees that every intermediate value is an exactly
 representable integer: in float32 below 2^24, in float64 below 2^53.
+The strips of the symmetric M M^t and M^t M are multiplied by half.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ INT64_MAX = np.iinfo(np.int64).max
 _FLOAT32_EXACT_BOUND = 2**24
 _FLOAT_EXACT_BOUND = 2**53
 
-# Below this order the generic int64 kernel is cheap enough.
-_BLAS_MIN_ORDER = 128
+# Below this order the shift-period search costs more than it saves.
+_PERIOD_MIN_ORDER = 128
 
 # Largest order of a matrix the constructions will build (2 GiB as int64).
 MAX_ORDER = 2**14
@@ -75,21 +76,23 @@ def is_zero_one(m: np.ndarray) -> bool:
     return m.size == 0 or bool(m.view(np.uint64).max() <= 1)
 
 
-def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def exact_matmul(a: np.ndarray, b: np.ndarray, *, _blocks: int | None = None) -> np.ndarray:
     """Exact integer product a B with an overflow guard: B is b, or
     block_circulant(b) for an h x n strip b with n = a.shape[1] and h | n.
 
     Every partial sum is bounded by n * max|a| * max|b| (a strip holds
-    every value of B).  From n = _BLAS_MIN_ORDER on, BLAS multiplies in
-    float32 when that bound is below 2^24 and in float64 below 2^53: every
-    partial sum, in any order, FMA or not, is then an exact integer, so
-    the result is bit-identical to integer arithmetic.  Otherwise the
-    int64 kernel is used.  Bounds beyond int64 raise SizeBoundError.
+    every value of B).  At every order, BLAS multiplies in float32 when
+    that bound is below 2^24 and in float64 below 2^53: every partial
+    sum, in any order, FMA or not, is then an exact integer, so the
+    result is bit-identical to integer arithmetic.  Only above 2^53 is
+    the int64 kernel used.  Bounds beyond int64 raise SizeBoundError.
 
     A strip is not expanded: block column c of B is its first block
     column R (strip blocks S_(-r) mod g, g = n / h) rolled down by c
     blocks, the n rows from (g - c) h of R written twice, and one batched
-    matmul of a with these g views gives the block columns of a B."""
+    matmul of a with these g views gives the block columns of a B.  For
+    a strip b, _blocks = k (private to this module) multiplies block
+    columns 0..k-1 alone and returns those k h columns of a B."""
     inner = a.shape[1]
     strip = b.shape[0] != inner
     if strip and b.shape[-1] != inner:
@@ -99,23 +102,40 @@ def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise SizeBoundError(
             f"matrix product may exceed the 64-bit entry range (bound {bound})"
         )
-    blas = inner >= _BLAS_MIN_ORDER and bound < _FLOAT_EXACT_BOUND
+    blas = bound < _FLOAT_EXACT_BOUND
     ftype = (np.float32 if bound < _FLOAT32_EXACT_BOUND else np.float64) if blas else np.int64
     a = a.astype(ftype, order="C", copy=False)
     if strip:
         h = _strip_height(b)
         g = inner // h
+        cols = g if _blocks is None else _blocks
         blocks = b.reshape(h, g, h).swapaxes(0, 1)  # blocks[k] = S_k
         twice = np.empty((2, g, h, h), dtype=ftype)  # R = S_0, S_(g-1), ..., S_1, twice
         twice[:, 0], twice[:, 1:] = blocks[0], blocks[:0:-1]
         windows = np.lib.stride_tricks.sliding_window_view(
             twice.reshape(2 * inner, h), inner, axis=0)
-        c = np.empty((a.shape[0], g, h), dtype=ftype)
-        np.matmul(a, windows[inner:0:-h].swapaxes(1, 2), out=c.swapaxes(0, 1))
-        c = c.reshape(a.shape[0], inner)
+        c = np.empty((a.shape[0], cols, h), dtype=ftype)
+        np.matmul(a, windows[inner:inner - cols * h:-h].swapaxes(1, 2), out=c.swapaxes(0, 1))
+        c = c.reshape(a.shape[0], cols * h)
     else:
         c = a @ b.astype(ftype, order="C", copy=False)
     return np.rint(c, out=c).astype(np.int64) if blas else c
+
+
+def _symmetric_strip(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """exact_matmul(a, b) for h x n strips a and b whose product a B is
+    the strip of a symmetric matrix, such as M M^t or M^t M.  With
+    g = n / h its blocks C_c satisfy C_(g-c) = C_c^t, so block columns
+    0..g // 2 are multiplied and the others are their transposes."""
+    h, n = a.shape
+    g = n // h
+    if g == 1:
+        return exact_matmul(a, b)
+    k = g // 2 + 1
+    s = np.empty((h, g, h), dtype=np.int64)
+    s[:, :k] = exact_matmul(a, b, _blocks=k).reshape(h, k, h)
+    s[:, k:] = s[:, g - k:0:-1].swapaxes(0, 2)  # block g - c, transposed
+    return s.reshape(h, n)
 
 
 def _shift_period(m: np.ndarray) -> int:
@@ -211,13 +231,14 @@ class Digraph:
     verifier reads a digraph through its strips, each made on first use
     and then shared, so no reader may write to them: strip and co_strip,
     the first period rows of M and M^t (views), and the exact_matmul
-    strips of M^2, M M^t and M^t M.  M and M^t share every cyclic shift
-    period, so each product is block-circulant with period h: the strip
-    height of a from_strip, or else the smallest, found once (n when M
-    has none or n < _BLAS_MIN_ORDER).  _canonical is the one-slot holder
-    of its canonical form, which relabelled copies may share; equality
-    and hashing ignore all of these.  Only from_strip and _checked skip
-    __post_init__.
+    strips of M^2, M M^t and M^t M, the last two symmetric and so
+    multiplied by half.  M and M^t share every cyclic shift period, so
+    each product is block-circulant with period h: the strip height of a
+    from_strip, or else the smallest, found once (n when M has none or
+    n < _PERIOD_MIN_ORDER, below which the search costs more than it
+    saves).  _canonical is the one-slot holder of its canonical form,
+    which relabelled copies may share; equality and hashing ignore all
+    of these.  Only from_strip and _checked skip __post_init__.
     """
 
     adjacency: np.ndarray
@@ -262,12 +283,12 @@ class Digraph:
         return self.adjacency.shape[0]
 
     period = cached_property(
-        lambda self: _shift_period(self.adjacency) if self.n >= _BLAS_MIN_ORDER else self.n)
+        lambda self: _shift_period(self.adjacency) if self.n >= _PERIOD_MIN_ORDER else self.n)
     strip = cached_property(lambda self: self.adjacency[:self.period])
     co_strip = cached_property(lambda self: self.adjacency.T[:self.period])
     square_strip = cached_property(lambda self: exact_matmul(self.strip, self.strip))
-    gram_strip = cached_property(lambda self: exact_matmul(self.strip, self.co_strip))
-    cogram_strip = cached_property(lambda self: exact_matmul(self.co_strip, self.strip))
+    gram_strip = cached_property(lambda self: _symmetric_strip(self.strip, self.co_strip))
+    cogram_strip = cached_property(lambda self: _symmetric_strip(self.co_strip, self.strip))
     _canonical = cached_property(lambda self: [None])
 
     def __eq__(self, other):

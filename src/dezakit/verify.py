@@ -467,23 +467,19 @@ def discover_ddd_partition(d: Digraph) -> list[list[int]] | None:
 
 
 def _equivalence_classes(rel: np.ndarray) -> list[list[int]] | None:
-    """Partition by a reflexive 0/1 relation; None if not an equivalence."""
-    n = rel.shape[0]
+    """Partition by a reflexive 0/1 relation; None if not an equivalence.
+
+    It is one iff it is symmetric and every row equals the row of its
+    first member.  The classes are listed by first member, each in
+    increasing order, split from the stable sort of the first members."""
     if not np.array_equal(rel, rel.T):
         return None
-    seen = np.zeros(n, dtype=bool)
-    classes = []
-    for v in range(n):
-        if seen[v]:
-            continue
-        members = np.nonzero(rel[v])[0]
-        # every member must relate to exactly the same set
-        for u in members:
-            if not np.array_equal(rel[u], rel[v]):
-                return None
-        seen[members] = True
-        classes.append([int(u) for u in members])
-    return classes
+    first = rel.argmax(axis=1)
+    if not np.array_equal(rel[first], rel):
+        return None
+    order = np.argsort(first, kind="stable")
+    cuts = np.flatnonzero(np.diff(first[order])) + 1
+    return [c.tolist() for c in np.split(order, cuts)]
 
 
 def verify_deza_graph(d: Digraph, reflexive: bool = False) -> VerificationReport:

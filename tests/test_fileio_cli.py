@@ -139,11 +139,12 @@ def test_signed_round_trip(tmp_path):
 
 
 def test_matrix_text_makes_no_int64_temporary():
-    # the text of a 0/1 matrix is 2 n^2 bytes, held as the row buffer, its
-    # bytes and the text: 6 n^2; a signed one adds sign bytes and a mask
-    # to drop them.  An n x n int64 temporary would add 8 n^2 to either.
+    # the text of a 0/1 matrix is 2 n^2 bytes, written once with its
+    # header; a signed one is written as 3 n^2 bytes with sign bytes, then
+    # copied without the 0 ones: about 5.5 n^2.  An n x n int64 temporary
+    # would add 8 n^2 to either, a second copy of the text 2 n^2.
     pair, _ = dz.twin_directed(dz.sylvester(4))
-    for m, bound in ((pair.positive_part.adjacency, 8), (pair.signed.matrix, 10)):
+    for m, bound in ((pair.positive_part.adjacency, 3), (pair.signed.matrix, 6)):
         n = m.shape[0]
         tracemalloc.start()
         try:
@@ -187,6 +188,33 @@ def test_read_matrix_errors(tmp_path):
     with pytest.raises(MatrixParseError) as exc:
         read_matrix(path)
     assert exc.value.line == 1 and exc.value.column == 1
+
+
+@pytest.mark.parametrize("alphabet, token", [
+    ("binary", "0_1"), ("binary", "+1"), ("binary", "01"), ("binary", "00"),
+    ("binary", "-0"), ("binary", "-1"), ("binary", "2"), ("binary", "x"),
+    ("signed", "+1"), ("signed", "-01"), ("signed", "-0"), ("signed", "1_0"),
+    ("signed", "\u0661"), ("signed", "--1")])
+def test_read_matrix_accepts_only_the_alphabets_spellings(tmp_path, capsys, alphabet, token):
+    # int() would read each of these as an entry, or as one outside the
+    # alphabet; only 0, 1 and, in a signed file, -1 are entries
+    path = tmp_path / "odd.txt"
+    path.write_text(f"2 {alphabet}\n0 1\n1 {token}\n", encoding="utf-8")
+    with pytest.raises(MatrixParseError) as exc:
+        _scan_matrix(path.read_text(encoding="utf-8"))
+    assert (exc.value.line, exc.value.column) == (3, 2)
+    assert f"token {token!r} outside alphabet {alphabet}" in str(exc.value)
+    if token.isascii():
+        with pytest.raises(MatrixParseError):
+            read_matrix(path)
+        assert run_cli("verify", path) == 2
+        assert capsys.readouterr().err == f"error: {exc.value}\n"
+
+
+def test_read_matrix_reads_each_spelling():
+    text = "3 signed\n-1 0 1\n1 -1 0\n0 1 -1\n"
+    assert _scan_matrix(text).tolist() == [[-1, 0, 1], [1, -1, 0], [0, 1, -1]]
+    assert _scan_matrix("2 binary\n 0\t1 \n1  0\n").tolist() == [[0, 1], [1, 0]]
 
 
 @pytest.mark.parametrize("last", ["1 1", "garbage here"])

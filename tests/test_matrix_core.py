@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from dezakit import construct, finite_field, hadamard
+from dezakit import construct, finite_field, hadamard, matrix_core
 from dezakit.matrix_core import (MAX_ORDER, _shift_period, Digraph, SignedMatrix,
                                  SizeBoundError, as_int_matrix, block_circulant,
                                  circulant, exact_matmul, identity, is_zero_one,
@@ -474,9 +474,10 @@ def kernel_operands(h, g, rows, bmax, edge, side, seed):
 
 
 @pytest.mark.parametrize("h, g, rows, bmax, edge, side, route", [
-    (3, 4, 5, 3, 2**10, "below", "int64"),          # n < 128
-    (1, 9, 2, 4, 2**10, "below", "int64"),          # a circulant, n < 128
-    (6, 2, 1, 3, 2**10, "below", "int64"),          # g = 2, n < 128
+    # n < 128: these three take float32 too; "int64" stays in their ids
+    (3, 4, 5, 3, 2**10, "below", "int64"),
+    (1, 9, 2, 4, 2**10, "below", "int64"),          # a circulant
+    (6, 2, 1, 3, 2**10, "below", "int64"),          # g = 2
     (1, 131, 2, 4, 2**24, "below", "float32"),      # a circulant
     (1, 131, 2, 4, 2**24, "above", "float64"),
     (64, 2, 3, 5, 2**24, "below", "float32"),       # g = 2
@@ -599,3 +600,70 @@ def test_twin_pair_derives_its_signed_matrix(make):
     assert np.array_equal(pair.signed.matrix, a - b)
     assert not pair.signed.matrix.flags.writeable
     assert pair.block_order == 4 and pair.block_classes()[-1] == list(range(24, 28))
+
+
+def test_exact_matmul_at_every_small_order():
+    rng = np.random.default_rng(60)
+    for n in range(1, 128):
+        for low, high in ((0, 2), (-1, 2)):
+            a, b = rng.integers(low, high, (2, n, n))
+            got = exact_matmul(a, b)
+            assert got.dtype == np.int64 and np.array_equal(got, int64_oracle(a, b))
+
+
+@pytest.mark.parametrize("edge, side", [(2**24, "below"), (2**24, "above"),
+                                        (2**53, "below"), (2**53, "above")])
+def test_every_route_at_every_small_order(edge, side):
+    # large entries whose bound lies on either side of 2^24 and 2^53,
+    # dense and as a circulant's first row; "above" puts an odd corner
+    # past the edge, which the type one tier narrower would round (from
+    # order 2: the corner needs a column of B with two entries)
+    for n in range(2, 128):
+        for h, g in ((n, 1), (1, n)):
+            a, b = kernel_operands(h, g, 3, 4, edge, side, n)
+            bound = n * max_abs(a) * max_abs(b)
+            assert (bound < edge) == (side == "below") and bound < 2**63
+            want = int64_oracle(a, block_circulant(b))
+            assert want[0, 0] == bound - max_abs(a) and want[0, 0] % 2 == 1
+            got = exact_matmul(a, b)
+            assert got.dtype == np.int64 and np.array_equal(got, want), (n, h)
+
+
+def symmetric_strip_cases():
+    """(digraph, h): from_strip digraphs with loops for every g and h,
+    and the same matrices handed over dense from order 128 on, where
+    _shift_period finds h."""
+    rng = np.random.default_rng(50)
+    for h in (1, 2, 7, 32):
+        for g in (1, 2, 3, 4, 5, 63):
+            strip = rng.integers(0, 2, (h, h * g))
+            yield Digraph.from_strip(strip, loops_allowed=True), h
+            if h * g >= 128:
+                yield Digraph(block_circulant(strip), loops_allowed=True), h
+
+
+def test_gram_strips_equal_the_dense_products():
+    for d, h in symmetric_strip_cases():
+        # float64 products of 0/1 matrices are exact: every sum is <= n < 2^53
+        m = d.adjacency.astype(np.float64)
+        assert d.period == h and (h == d.n or not d.co_strip.flags.c_contiguous)
+        for strip, want in ((d.gram_strip, m[:h] @ m.T), (d.cogram_strip, m.T[:h] @ m)):
+            assert strip.dtype == np.int64 and np.array_equal(strip, want), (h, d.n)
+
+
+@pytest.mark.parametrize("h, g", [(3, 2), (3, 5), (4, 8), (7, 63)])
+def test_gram_strips_multiply_half_the_block_columns(monkeypatch, h, g):
+    # M M^t and M^t M are symmetric: one exact_matmul each, whose result
+    # holds block columns 0 .. g // 2 alone; the others are transposes
+    results = []
+    real = matrix_core.exact_matmul
+
+    def recording(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(matrix_core, "exact_matmul", recording)
+    strip = np.random.default_rng(h * g).integers(0, 2, (h, h * g))
+    d = Digraph.from_strip(strip, loops_allowed=True)
+    assert d.gram_strip.shape == d.cogram_strip.shape == (h, h * g)
+    assert [r.shape for r in results] == [(h, (g // 2 + 1) * h)] * 2

@@ -464,9 +464,9 @@ def matmul_calls(monkeypatch):
     calls = []
     real = matrix_core.exact_matmul
 
-    def counting(a, b):
+    def counting(a, b, **kwargs):
         calls.append((a.shape, b.shape))
-        return real(a, b)
+        return real(a, b, **kwargs)
 
     monkeypatch.setattr(matrix_core, "exact_matmul", counting)
     return calls
@@ -601,3 +601,44 @@ def test_the_shift_period_is_found_once_per_matrix(tmp_path, capsys, period_call
     assert verify.verify_type2(dense).ok and dense.period == 16
     assert period_calls == [496]
 
+
+
+def loop_equivalence_classes(rel: np.ndarray) -> list[list[int]] | None:
+    """The classes of a reflexive 0/1 relation, vertex by vertex: each
+    unseen vertex opens a class of its related vertices, all of which
+    must relate to exactly the same set; None if not an equivalence."""
+    n = rel.shape[0]
+    if not np.array_equal(rel, rel.T):
+        return None
+    seen = np.zeros(n, dtype=bool)
+    classes = []
+    for v in range(n):
+        if seen[v]:
+            continue
+        members = np.nonzero(rel[v])[0]
+        for u in members:
+            if not np.array_equal(rel[u], rel[v]):
+                return None
+        seen[members] = True
+        classes.append([int(u) for u in members])
+    return classes
+
+
+def test_equivalence_classes_match_the_loop():
+    # labellings give equivalences; toggling one pair, both ways or one
+    # way, gives symmetric and asymmetric relations that mostly are not
+    rng = np.random.default_rng(70)
+    outcomes = Counter()
+    for i in range(1500):
+        n = int(rng.integers(1, 30))
+        labels = rng.integers(0, int(rng.integers(1, n + 1)), n)
+        rel = labels[:, None] == labels[None, :]
+        u, v = rng.integers(0, n, 2)
+        if u != v and i % 3:
+            rel[u, v] = not rel[u, v]
+            if i % 3 == 1:
+                rel[v, u] = rel[u, v]
+        want = loop_equivalence_classes(rel)
+        assert verify._equivalence_classes(rel) == want
+        outcomes[want is None] += 1
+    assert outcomes[True] > 500 and outcomes[False] > 500
