@@ -91,10 +91,10 @@ def _cmd_construct(args) -> int:
             ra, rb = construct.siamese_reflexive(pair)
         else:
             pair, (ra, rb) = construct.twin_directed(h)
-        base = args.out
-        fileio.write_matrix(pair.signed.matrix, f"{base}_K.txt")
-        _write_digraph(pair.positive_part, f"{base}_A.txt")
-        _write_digraph(pair.negative_part, f"{base}_B.txt")
+        a, b, base = pair.positive_part, pair.negative_part, args.out
+        fileio.write_matrix(a.adjacency - b.adjacency, f"{base}_K.txt")
+        _write_digraph(a, f"{base}_A.txt")
+        _write_digraph(b, f"{base}_B.txt")
         _write_digraph(ra, f"{base}_RA.txt")
         _write_digraph(rb, f"{base}_RB.txt")
     elif fam == "drt":

@@ -3,6 +3,10 @@ of a b = t directed Deza graph (and the design quotient of a b = k
 type-II graph), enumerate small instances by exact backtracking, and
 compare digraphs up to isomorphism via a canonical form found by
 individualisation-refinement with automorphism pruning.
+
+The backtracking is a row driver, owning the rows, column masks and
+counts and the row-0 relabelling, under a judge owning a cell rule, such
+as M^2's, whose conditions must survive every relabelling that fixes 0.
 """
 
 from __future__ import annotations
@@ -147,32 +151,87 @@ def _check_search(n: int, limit: int | None = None):
         raise SizeBoundError(f"search is limited to order {SEARCH_MAX_ORDER}")
 
 
-def _search(n: int, k: int, t: int, allowed):
-    """Backtracking over loop-free k-regular 0/1 matrices of order n with
-    constant mutual count t and two-path counts constrained per arc class.
-
-    allowed = (non_arc_values, arc_values) gives the admissible final
-    values of an off-diagonal (u, v) entry of M^2, indexed by whether
-    u -> v is an arc.  Rows are chosen in ascending lexicographic order,
-    so solutions appear in ascending adjacency order deterministically.
-    Every node, a leaf too, is judged once by one table of the cell rule.
-
-    Only the first row-0 candidate S0 = {n-k, ..., n-1} is searched.  Every
-    condition is invariant under relabelling, so a relabelling that fixes 0
-    and maps S0 onto S maps those hits one to one onto the hits with
-    N+(0) = S; each later candidate's block is their image, sorted.
-
-    A lazy generator of (stack, js): an int64 stack of hits in order and
-    the index of each hit, or of its preimage, among the S0 hits.  An S0
-    hit is a stack of one, so islice stops at the last hit taken; a later
-    candidate's image block is one stack.
-    """
-    # the mutual arcs form a t-regular graph, so n * t is even (handshake lemma)
-    if k > n - 1 or t > k or n * t % 2:
-        return
+def _drive(n: int, k: int, judge):
+    """Backtracking over loop-free k-regular 0/1 matrices of order n, rows
+    in ascending lexicographic order, so hits come in ascending adjacency
+    order.  Row r avoids full columns and enters those every row to come
+    must fill.  Each node, a leaf too, is then judged once by judge(rows,
+    colmask, colcap), rows 0..r-1 placed: bit w of colmask[v] is set iff
+    row w has a 1 in column v, and colcap[v] is the 1s column v can still
+    take.  The judge writes none of them and returns None to prune, else
+    further bits row r must clear (forbid) and set (require).
+    Only row 0 = S0 = {n-k, ..., n-1} is searched.  Precondition: the
+    judge's conditions survive every relabelling that fixes 0, so one
+    mapping S0 onto S maps those hits one to one onto those with N+(0) =
+    S.  A lazy generator of (stack, js): int64 hits in order and the index
+    of each, or of its preimage, among the S0 hits; an S0 hit is a stack
+    of one, so islice stops at the last hit taken, and each later
+    candidate's block, their image sorted, is one stack."""
     rows: list[int] = []
-    colmask = [0] * n  # bit w set iff row w (already placed) has a 1 in column v
+    colmask = [0] * n
     candidates = [_row_candidates(n, k, r) for r in range(n)]
+
+    def backtrack():
+        r = len(rows)
+        forbid = require = 0
+        colcap = [k - m.bit_count() for m in colmask]  # 1s the rows to come can add
+        for v in range(n):
+            # from the root on, the masks keep every column count at most
+            # k and within reach of k, so no node needs to check it
+            if not colcap[v]:
+                forbid |= 1 << v
+            elif v != r and n - r - (v > r) == colcap[v]:
+                require |= 1 << v  # every row to come must fill column v
+        masks = judge(rows, colmask, colcap)
+        if masks is None:
+            return
+        if r == n:
+            yield (np.array(rows)[:, None] >> np.arange(n)) & 1
+            return
+        forbid, require = forbid | masks[0], require | masks[1]
+        rbit = 1 << r
+        for mask in candidates[r]:
+            if mask & forbid or mask & require != require:
+                continue
+            rows.append(mask)
+            cols = [v for v in range(n) if mask >> v & 1]
+            for v in cols:
+                colmask[v] |= rbit
+            yield from backtrack()
+            for v in cols:
+                colmask[v] &= ~rbit
+            rows.pop()
+
+    row0 = candidates[0]
+    candidates[0] = row0[:1]
+    first = []  # rows of the hits with N+(0) = S0, in search order
+    for m in backtrack():
+        first.append(rows.copy())
+        yield m[None], [len(first) - 1]
+    if not first:
+        return
+    block0 = ((np.array(first)[:, :, None] >> np.arange(n)) & 1).astype(np.uint8)
+
+    def members_first(mask: int) -> list[int]:
+        return sorted(range(1, n), key=lambda v: not mask >> v & 1)  # stable
+
+    order0 = members_first(row0[0])
+    for s in row0[1:]:
+        # pi fixes 0 and maps S0 onto S and the rest onto the rest in order;
+        # the image of M is M[src][:, src] with src = pi^-1
+        src = np.zeros(n, dtype=np.intp)
+        src[members_first(s)] = order0
+        block = block0[:, src[:, None], src]
+        # ascending row-major bytes, the order the search would find them in
+        packed = np.packbits(block.reshape(len(block), -1), axis=1)
+        js = np.lexsort(packed.T[::-1])
+        yield block[js].astype(np.int64), js.tolist()
+
+
+def _square_judge(n: int, k: int, t: int, allowed):
+    """_drive's judge of M^2, its cell rule tabled once: None if a cell or
+    a row or column total of M^2 can no longer end in allowed[1] on arcs,
+    allowed[0] on non-arcs and t on the diagonal; at r = n only final values pass."""
     # (lo, hi, values) of the final M^2 entry: non-arc, arc, diagonal
     spec = [(min(values), max(values), frozenset(values)) for values in (*allowed, {t})]
     glo = min(lo for lo, _, _ in spec[:2])
@@ -184,26 +243,10 @@ def _search(n: int, k: int, t: int, allowed):
               else (max(lo - p, 0), min(hi - p, cap))
               for cap in range(k + 1)] for p in range(k + 1)] for lo, hi, values in spec]
 
-    def prune(r: int) -> tuple[int, int] | None:
-        """Judge the node with rows 0..r-1 placed: None if a cell of M^2 or
-        a row or column total of M^2 can no longer be met, else the bits
-        of row r that must be clear (forbid) and set (require).  Each
-        column count, and each cell of a placed row, depends on one bit
-        of row r alone.  At r = n every cell is read with nothing to come,
-        so only its final values pass."""
+    def judge(rows: list[int], colmask: list[int], colcap: list[int]) -> tuple[int, int] | None:
+        r = len(rows)
         forbid = require = 0
-        colcap = [0] * n
-        for v in range(n):
-            # from the root on, the masks keep every column count at most
-            # k and within reach of k, so no node needs to check it
-            cs = colmask[v].bit_count()
-            colcap[v] = k - cs  # rows to come can add at most this many 1s
-            if cs == k:
-                forbid |= 1 << v
-            elif v != r and cs + n - r - (v > r) == k:
-                require |= 1 << v  # every row to come must fill column v
-        col_lo = [0] * n
-        col_hi = [0] * n
+        col_lo, col_hi = [0] * n, [0] * n
         for u in range(r):
             # for a placed row every arc bit is known; only its pending
             # future out-neighbours, r among them iff into, add two-paths,
@@ -242,53 +285,14 @@ def _search(n: int, k: int, t: int, allowed):
                 return None
         return forbid, require
 
-    def backtrack():
-        r = len(rows)
-        masks = prune(r)
-        if masks is None:
-            return
-        if r == n:
-            yield (np.array(rows)[:, None] >> np.arange(n)) & 1
-            return
-        forbid, require = masks
-        rbit = 1 << r
-        for mask in candidates[r]:
-            if mask & forbid or mask & require != require:
-                continue
-            rows.append(mask)
-            for v in range(n):
-                if (mask >> v) & 1:
-                    colmask[v] |= rbit
-            yield from backtrack()
-            for v in range(n):
-                if (mask >> v) & 1:
-                    colmask[v] &= ~rbit
-            rows.pop()
+    return judge
 
-    row0 = candidates[0]
-    candidates[0] = row0[:1]
-    first = []  # rows of the hits with N+(0) = S0, in search order
-    for m in backtrack():
-        first.append(rows.copy())
-        yield m[None], [len(first) - 1]
-    if not first:
-        return
-    block0 = ((np.array(first)[:, :, None] >> np.arange(n)) & 1).astype(np.uint8)
 
-    def members_first(mask: int) -> list[int]:
-        return sorted(range(1, n), key=lambda v: not mask >> v & 1)  # stable
-
-    order0 = members_first(row0[0])
-    for s in row0[1:]:
-        # pi fixes 0 and maps S0 onto S and the rest onto the rest in order;
-        # the image of M is M[src][:, src] with src = pi^-1
-        src = np.zeros(n, dtype=np.intp)
-        src[members_first(s)] = order0
-        block = block0[:, src[:, None], src]
-        # ascending row-major bytes, the order the search would find them in
-        packed = np.packbits(block.reshape(len(block), -1), axis=1)
-        js = np.lexsort(packed.T[::-1])
-        yield block[js].astype(np.int64), js.tolist()
+def _search(n: int, k: int, t: int, allowed):
+    """_drive under _square_judge, past the handshake guard."""
+    # the mutual arcs form a t-regular graph, so n * t is even (handshake lemma)
+    if k <= n - 1 and t <= k and n * t % 2 == 0:
+        yield from _drive(n, k, _square_judge(n, k, t, allowed))
 
 
 def _satisfies(ms: np.ndarray, k: int, t: int, allowed) -> np.ndarray:

@@ -45,9 +45,19 @@ def check_order(n: int):
         raise SizeBoundError(f"order {n} exceeds the bound {MAX_ORDER}")
 
 
+def _int64(x, copy: bool = False) -> np.ndarray:
+    """x as an int64 array, copied if asked: ValueError if that changes an
+    entry; an array of a type int64 holds exactly, such as bool, is not checked."""
+    a = np.asarray(x)
+    m = a.astype(np.int64, copy=copy and (a is x or a.base is not None))
+    if not np.can_cast(a.dtype, np.int64) and not np.array_equal(m, a):
+        raise ValueError("entries must be integers in the int64 range")
+    return m
+
+
 def as_int_matrix(rows) -> np.ndarray:
     """Coerce nested sequences / arrays to a square int64 matrix, order > 0."""
-    m = np.asarray(rows, dtype=np.int64)
+    m = _int64(rows)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if m.shape[0] == 0:
@@ -201,7 +211,7 @@ def kronecker(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def circulant(first_row) -> np.ndarray:
     """Circulant matrix: row i is first_row rotated right by i positions."""
-    row = np.array(first_row, dtype=np.int64)
+    row = _int64(first_row, copy=True)
     if row.ndim != 1 or row.size == 0:
         raise ValueError("first row must be a nonempty sequence")
     return block_circulant(row[None, :])
@@ -209,7 +219,7 @@ def circulant(first_row) -> np.ndarray:
 
 def _frozen(rows) -> np.ndarray:
     """A read-only int64 copy of rows, made with one copy."""
-    m = np.array(rows, dtype=np.int64)
+    m = _int64(rows, copy=True)
     m.setflags(write=False)
     return m
 
@@ -269,7 +279,7 @@ class Digraph:
         strip's first block.  The matrix is the one n x n array made (a
         square strip of the caller's own int64 array is copied), and its
         strips take h as their period without a search."""
-        s = np.asarray(strip, dtype=np.int64)
+        s = _int64(strip)
         h = _strip_height(s)
         _check_adjacency(s, loops_allowed)
         m = block_circulant(s)

@@ -32,27 +32,27 @@ from .matrix_core import Digraph, block_circulant
 NOT_MEMBER = "not_member"
 
 
+class _Params:
+    def as_tuple(self) -> tuple:
+        """The fields in order, all that a params dataclass's __dict__ holds."""
+        return tuple(vars(self).values())
+
+
 @dataclass(frozen=True)
-class DezaParams:
+class DezaParams(_Params):
     n: int
     k: int
     b: int
     a: int
     t: int
 
-    def as_tuple(self):
-        return (self.n, self.k, self.b, self.a, self.t)
-
 
 @dataclass(frozen=True)
-class DezaGraphParams:
+class DezaGraphParams(_Params):
     n: int
     k: int
     b: int
     a: int
-
-    def as_tuple(self):
-        return (self.n, self.k, self.b, self.a)
 
 
 # type-II graphs carry the same (n, k, b, a) as undirected Deza graphs
@@ -60,19 +60,16 @@ TypeIIParams = DezaGraphParams
 
 
 @dataclass(frozen=True)
-class DsrgParams:
+class DsrgParams(_Params):
     n: int
     k: int
     lam: int
     mu: int
     t: int
 
-    def as_tuple(self):
-        return (self.n, self.k, self.lam, self.mu, self.t)
-
 
 @dataclass(frozen=True)
-class DddParams:
+class DddParams(_Params):
     v: int
     k: int
     lambda1: int
@@ -80,18 +77,12 @@ class DddParams:
     m: int
     n_class: int
 
-    def as_tuple(self):
-        return (self.v, self.k, self.lambda1, self.lambda2, self.m, self.n_class)
-
 
 @dataclass(frozen=True)
-class DesignParams:
+class DesignParams(_Params):
     n: int
     k: int
     lam: int
-
-    def as_tuple(self):
-        return (self.n, self.k, self.lam)
 
 
 @dataclass(frozen=True)
@@ -327,10 +318,7 @@ def verify_dsrg(d: Digraph) -> VerificationReport:
     t = int(s[0, 0])
     if not (np.diagonal(s) == t).all():
         return _fail(f"diag(M^2) not constant: {_value_multiset(s)}")
-    strip, co_strip = d.strip, d.co_strip
-    arc, non = strip == 1, strip == 0
-    np.fill_diagonal(arc, False)
-    np.fill_diagonal(non, False)
+    non, arc = _positions(d.strip, 0, 1)
     lam_vals, mu_vals = _distinct(s[arc]), _distinct(s[non])
     if len(lam_vals) > 1:
         return _fail(f"path counts on arcs not constant: {lam_vals}")
@@ -338,7 +326,7 @@ def verify_dsrg(d: Digraph) -> VerificationReport:
         return _fail(f"path counts on non-arcs not constant: {mu_vals}")
     lam = lam_vals[0] if lam_vals else (mu_vals[0] if mu_vals else 0)
     mu = mu_vals[0] if mu_vals else lam
-    tag = "srg" if np.array_equal(strip, co_strip) else "dsrg"
+    tag = "srg" if np.array_equal(d.strip, d.co_strip) else "dsrg"
     return VerificationReport(classification=tag, params=DsrgParams(n, k, lam, mu, t))
 
 
@@ -409,9 +397,7 @@ def verify_ddd(d: Digraph, partition) -> VerificationReport:
     gout, gin = d.gram_strip, d.cogram_strip
     if h == n:  # the whole products; block_circulant returns a square strip
         gout, gin = block_circulant(gout), block_circulant(gin)
-    across_mask = label[:h, None] != label[None, :]
-    within_mask = ~across_mask
-    np.fill_diagonal(within_mask, False)
+    within_mask, across_mask = _positions(label[:h, None] == label[None, :], True, False)
     lam1 = lam2 = None
     for g, name in ((gout, "dominated-by-both"), (gin, "dominates-both")):
         within = _distinct(g[within_mask]) or [0]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import dezakit as dz
-from dezakit.decompose_search import (_quotient_certificate, _satisfies, canonical_form,
+from dezakit.decompose_search import (_drive, _quotient_certificate, _satisfies, canonical_form,
                                       decompose_b_eq_t, decompose_type2_b_eq_k,
                                       dsrg_spectral_feasible,
                                       search_deza_digraphs, search_dsrg)
@@ -228,6 +228,28 @@ def test_regular_scan_counts(regular_scan):
         assert not np.diagonal(m, axis1=1, axis2=2).any(), (n, k)
         flat = [tuple(x) for x in m.reshape(len(m), -1).tolist()]
         assert flat == sorted(set(flat)), (n, k)
+
+
+def test_driver_alone_yields_every_regular_matrix(regular_scan):
+    """_drive under a judge that neither prunes nor masks yields exactly
+    the scan's matrices in ascending order: its column rules alone keep
+    every hit k-regular.  The first block is stacks of one indexed in
+    order, each later block one stack of its images, and an islice of
+    the hits is the scan's prefix."""
+    rng = np.random.default_rng(31)
+
+    def hits(n, k):
+        stacks = _drive(n, k, lambda rows, colmask, colcap: (0, 0))
+        return (m for ms, _ in stacks for m in ms)
+
+    for (n, k), (m, _) in regular_scan.items():
+        blocks = list(_drive(n, k, lambda rows, colmask, colcap: (0, 0)))
+        assert np.array_equal(np.concatenate([ms for ms, _ in blocks]), m), (n, k)
+        first = next(i for i, (_, js) in enumerate(blocks + [(None, None)]) if js != [i])
+        assert all(sorted(js) == list(range(first)) for _, js in blocks[first:]), (n, k)
+        j = int(rng.integers(len(m) + 1))
+        head = list(itertools.islice(hits(n, k), j))
+        assert np.array_equal(np.array(head).reshape(-1, n, n), m[:j]), (n, k)
 
 
 def _scan_hits(regular_scan, n, k, t, allowed):

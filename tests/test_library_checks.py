@@ -10,7 +10,7 @@ import pytest
 import dezakit
 from dezakit import construct, decompose_search, hadamard, verify
 from dezakit.hadamard import HadamardMatrix
-from dezakit.matrix_core import Digraph, SignedMatrix
+from dezakit.matrix_core import Digraph, SignedMatrix, _frozen, as_int_matrix, circulant
 from dezakit.verify import DesignParams, DezaParams
 
 
@@ -28,6 +28,38 @@ def test_verify_reads_no_adjacency():
     path = Path(verify.__file__)
     found = [node.lineno for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Attribute) and node.attr == "adjacency"]
+    assert found == []
+
+
+def _written_names(target):
+    """The names an assignment target, or the receiver of a method call,
+    writes through: rows for rows[u] = x, rows.append(x) or rows = x."""
+    while isinstance(target, (ast.Subscript, ast.Attribute, ast.Starred)):
+        target = target.value
+    if isinstance(target, ast.Name):
+        return [target.id]
+    return [name for elt in getattr(target, "elts", []) for name in _written_names(elt)]
+
+
+def test_square_judge_writes_none_of_the_drivers_state():
+    # _drive hands its judge its live rows, colmask and colcap; the M^2
+    # judge reads them and never assigns to, appends to or pops them
+    tree = ast.parse(Path(decompose_search.__file__).read_text(encoding="utf-8"))
+    judge = next(node for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef) and node.name == "_square_judge")
+    mutators = {"append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse"}
+    found = []
+    for node in ast.walk(judge):
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign, ast.For, ast.NamedExpr)):
+            targets = [node.target]
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            targets = [node.func.value] if node.func.attr in mutators else []
+        else:
+            targets = []
+        found += [(node.lineno, name) for target in targets for name in _written_names(target)
+                  if name in {"rows", "colmask", "colcap"}]
     assert found == []
 
 
@@ -112,3 +144,26 @@ def test_order_zero_matrices_are_refused(build):
     # each verifier reads a Digraph, or a raw array for symmetric designs
     with pytest.raises(ValueError, match="order must be positive"):
         build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Digraph([[0, 0.5], [1.9, 0]]),
+    lambda: HadamardMatrix([[1, 1], [1, -1.5]]),
+    lambda: SignedMatrix([[0, -0.5], [1, 0]]),
+    lambda: Digraph.from_strip([[0, 0.9, 1.5, 0]]),
+    lambda: circulant([0, 1.5, 0]),
+    lambda: as_int_matrix(np.array([[2**63]], dtype=np.uint64)),
+], ids=["Digraph", "HadamardMatrix", "SignedMatrix", "from_strip", "circulant", "uint64"])
+def test_entries_that_int64_would_change_are_refused(build):
+    # a fraction would truncate, and 2^63 would wrap to -2^63
+    with pytest.raises(ValueError, match="integers in the int64 range"):
+        build()
+
+
+def test_integral_entries_of_any_type_are_taken(monkeypatch):
+    # integral floats pass the check; int and bool arrays are not checked
+    assert Digraph([[0, 1.0], [1.0, 0]]) == Digraph([[0, 1], [1, 0]])
+    monkeypatch.setattr(np, "array_equal", lambda *args: pytest.fail("checked an int array"))
+    for rows in ([[0, 1], [1, 0]], np.eye(2, dtype=bool), np.eye(2, dtype=np.uint32)):
+        assert _frozen(rows).dtype == as_int_matrix(rows).dtype == np.int64
+        assert Digraph.from_strip(rows, loops_allowed=True).adjacency.sum() == 2

@@ -1,11 +1,12 @@
-from dataclasses import fields
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
 
 import dezakit as dz
 from dezakit.matrix_core import Digraph, identity, ones, zeros
-from dezakit.verify import (DezaParams, VerificationReport, deza_children, feasibility,
+from dezakit.verify import (DddParams, DesignParams, DezaGraphParams, DezaParams, DsrgParams,
+                            VerificationReport, deza_children, feasibility,
                             verify_ddd, verify_deza_digraph, verify_deza_graph, verify_dsrg,
                             verify_reflexive_directed_deza,
                             verify_symmetric_design, verify_type2)
@@ -393,6 +394,13 @@ def test_children_keep_the_period_and_equal_the_dense_masks(deza_8_3):
         assert np.array_equal(p.a * x.adjacency + p.b * y.adjacency + p.t * identity(n), s)
         assert x == Digraph(x.adjacency) and y == Digraph(y.adjacency)
     assert not y.adjacency.any()
+
+
+@pytest.mark.parametrize("cls", [DezaParams, DezaGraphParams, DsrgParams, DddParams,
+                                 DesignParams])
+def test_params_as_tuple_lists_the_fields_in_order(cls):
+    params = cls(*range(3, 3 + len(fields(cls))))
+    assert params.as_tuple() == astuple(params) == tuple(range(3, 3 + len(fields(cls))))
 
 
 def test_reports_hold_no_arrays(deza_8_3):
