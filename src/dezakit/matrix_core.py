@@ -49,6 +49,11 @@ def _int64(x, copy: bool = False) -> np.ndarray:
     """x as an int64 array, copied if asked: ValueError if that changes an
     entry; an array of a type int64 holds exactly, such as bool, is not checked."""
     a = np.asarray(x)
+    # astype warns on a complex entry or a float outside [-2^63, 2^63), NaN
+    # too; a float64 end keeps a float16 array from overflowing it
+    end = np.float64(2.0**63)
+    if a.dtype.kind == "c" or a.dtype.kind == "f" and not ((a >= -end) & (a < end)).all():
+        raise ValueError("entries must be integers in the int64 range")
     m = a.astype(np.int64, copy=copy and (a is x or a.base is not None))
     if not np.can_cast(a.dtype, np.int64) and not np.array_equal(m, a):
         raise ValueError("entries must be integers in the int64 range")

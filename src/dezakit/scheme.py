@@ -44,9 +44,10 @@ class AssociationScheme:
 def verify_scheme(matrices) -> AssociationScheme:
     """Check the five scheme axioms and extract all p_{i,j}^k exactly.
 
-    Each p is read off one representative cell of relation k and then the
-    full linear combination A_i A_j = sum_k p_{i,j}^k A_k is re-checked
-    entrywise, so near-schemes are rejected rather than averaged.
+    Each p_{i,j}^k is read off the first cell of relation k and then
+    A_i A_j = sum_k p_{i,j}^k A_k = p_{i,j}[label] is checked entrywise,
+    so near-schemes are rejected rather than averaged.  Given axiom 4 and
+    no empty relation, A_i A_j = A_j A_i iff p_{i,j} = p_{j,i}.
     """
     mats = [_frozen(m) for m in matrices]
     if not mats:
@@ -68,27 +69,24 @@ def verify_scheme(matrices) -> AssociationScheme:
                 break
         else:
             raise SchemeError(3, f"transpose of relation {i} is not a relation")
-    # representative cell of each relation for reading off coefficients
     for i, m in enumerate(mats):
         if not m.any():
             raise SchemeError(2, f"relation {i} is empty")
-    reps = [tuple(int(c) for c in np.argwhere(m == 1)[0]) for m in mats]
+    # axioms 1 and 2 put cell (x, y) in the one relation label[x, y]
+    label = sum(k * m for k, m in enumerate(mats))
+    first = [int(m.argmax()) for m in mats]  # flat index of each relation's first 1
     p = np.zeros((d + 1, d + 1, d + 1), dtype=np.int64)
-    prod = [[exact_matmul(a, b) for b in mats] for a in mats]
     for i in range(d + 1):
         for j in range(d + 1):
-            combo = np.zeros((n, n), dtype=np.int64)
-            for k in range(d + 1):
-                x, y = reps[k]
-                p[i, j, k] = prod[i][j][x, y]
-                combo += p[i, j, k] * mats[k]
-            if not np.array_equal(prod[i][j], combo):
+            prod = exact_matmul(mats[i], mats[j])
+            p[i, j] = prod.reshape(-1)[first]
+            if not np.array_equal(prod, p[i, j][label]):
                 raise SchemeError(
                     4, f"A_{i} A_{j} is not a combination of the relations "
                        f"(coefficients read at representatives disagree elsewhere)")
     for i in range(1, d + 1):
         for j in range(1, d + 1):
-            if not np.array_equal(prod[i][j], prod[j][i]):
+            if not np.array_equal(p[i, j], p[j, i]):
                 raise SchemeError(5, f"A_{i} and A_{j} do not commute")
     return AssociationScheme(tuple(mats), _frozen(p))
 
@@ -116,10 +114,7 @@ def fusion_digraph(scheme: AssociationScheme, fuse) -> tuple[Digraph, FusionRepo
     if not f_set or any(f < 1 or f > scheme.d for f in f_set):
         raise ValueError(f"fusion set {f_set} must be a nonempty subset of 1..{scheme.d}")
     adjacency = sum(scheme.relations[f] for f in f_set)
-    fused = np.zeros(scheme.d + 1, dtype=np.int64)
-    for f in f_set:
-        for g in f_set:
-            fused += scheme.intersection_numbers[f, g, :]
+    fused = scheme.intersection_numbers[np.ix_(f_set, f_set)].sum(axis=(0, 1))
     values = tuple(sorted({int(fused[k]) for k in range(1, scheme.d + 1)}))
     at_most_two = len(values) <= 2
     t_scheme = int(sum(scheme.intersection_numbers[f, f, 0] for f in f_set))
@@ -127,7 +122,8 @@ def fusion_digraph(scheme: AssociationScheme, fuse) -> tuple[Digraph, FusionRepo
     verification = verify_deza_digraph(digraph)
     k = int(adjacency[0].sum())
     params = None
-    if at_most_two and values:
+    # values is never empty: the nonempty f_set lies in 1..d, so d >= 1
+    if at_most_two:
         lo, hi = values[0], values[-1]
         params = DezaParams(scheme.n, k, hi, lo, t_scheme)
     return digraph, FusionReport(values, at_most_two, t_scheme, k, params, verification)

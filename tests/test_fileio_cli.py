@@ -15,6 +15,7 @@ from dezakit.fileio import (MatrixParseError, _digraph6_order_bytes, _matrix_tex
                             _scan_matrix, load_report, read_digraph,
                             read_matrix, to_digraph6, write_matrix,
                             write_report)
+from dezakit.hadamard import is_normalized
 from dezakit.matrix_core import MAX_ORDER, Digraph
 
 from conftest import (DEZA_8_3_3_1_0, DEZA_8_4_3_1_1, NORMALIZED_HADAMARD_4,
@@ -353,6 +354,18 @@ def test_cli_children(tmp_path, deza_8_3):
     assert np.array_equal(x + y + np.eye(8, dtype=np.int64), np.ones((8, 8), dtype=np.int64))
 
 
+
+def test_cli_children_of_a_non_member(tmp_path, capsys):
+    mfile = tmp_path / "m.txt"
+    m = np.zeros((3, 3), dtype=np.int64)
+    m[0, 1] = m[0, 2] = m[1, 2] = 1
+    write_matrix(m, mfile)
+    out_x, out_y = tmp_path / "x.txt", tmp_path / "y.txt"
+    capsys.readouterr()
+    assert run_cli("children", mfile, "--out-x", out_x, "--out-y", out_y) == 1
+    assert capsys.readouterr().err.startswith("verification failed: ")
+    assert not out_x.exists() and not out_y.exists()
+
 @pytest.mark.parametrize("command", ["children", "verify"])
 def test_cli_verifies_once_before_it_writes_children(tmp_path, monkeypatch, deza_8_3,
                                                      command):
@@ -396,6 +409,30 @@ def test_cli_twin_family(tmp_path):
     k = read_matrix(f"{base}_K.txt")
     assert set(np.unique(k)) <= {-1, 0, 1}
 
+
+
+def test_cli_twin_normalizes_a_supplied_hadamard(tmp_path):
+    # SKEW_HADAMARD_4 has -1s in its first column, so the CLI normalizes it
+    assert not is_normalized(dz.HadamardMatrix(SKEW_HADAMARD_4))
+    raw, normal = tmp_path / "raw.txt", tmp_path / "normal.txt"
+    write_matrix(SKEW_HADAMARD_4, raw)
+    write_matrix(dz.normalize(dz.HadamardMatrix(SKEW_HADAMARD_4)).matrix, normal)
+    for family in ("twin", "twin-directed"):
+        for h in (raw, normal):
+            assert run_cli("construct", family, "--hadamard", h,
+                           "--out", tmp_path / f"{family}_{h.stem}") == 0
+        for suffix in ("_K", "_A", "_B", "_RA", "_RB"):
+            assert (tmp_path / f"{family}_raw{suffix}.txt").read_bytes() == \
+                (tmp_path / f"{family}_normal{suffix}.txt").read_bytes()
+
+
+def test_cli_skew_hadamard_from_a_file(tmp_path):
+    h, out = tmp_path / "h.txt", tmp_path / "s.txt"
+    write_matrix(SKEW_HADAMARD_4, h)
+    assert run_cli("construct", "skew-hadamard", "--hadamard", h, "--out", out) == 0
+    expected = dz.skew_hadamard_deza(dz.HadamardMatrix(SKEW_HADAMARD_4))
+    assert np.array_equal(read_matrix(out), expected.adjacency)
+    assert dz.verify_deza_digraph(read_digraph(out)).params.as_tuple() == (8, 3, 3, 1, 0)
 
 def test_cli_decompose(tmp_path):
     design = tmp_path / "fano.txt"

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,33 @@ def test_normalize_fixes_negated_matrix():
     negated = HadamardMatrix(-h4.matrix)
     assert np.array_equal(normalize(negated).matrix, h4.matrix)
 
+
+
+def brute_force_normal_forms(h):
+    """Every D_r H D_c, r and c sign vectors, whose first row and column
+    are all +1."""
+    n = h.shape[0]
+    forms = set()
+    for r in itertools.product((1, -1), repeat=n):
+        for c in itertools.product((1, -1), repeat=n):
+            m = np.array(r)[:, None] * h * np.array(c)[None, :]
+            if (m[0] == 1).all() and (m[:, 0] == 1).all():
+                forms.add(m.tobytes())
+    return forms
+
+
+@pytest.mark.parametrize("rows, cols", [((), (1,)), ((0, 2), (2, 3)), ((1, 3), (0, 1, 3))])
+@pytest.mark.parametrize("base", ["sylvester", "skew"])
+def test_normalize_negates_columns_like_a_brute_force_sign_flip(base, rows, cols):
+    m = (sylvester(2).matrix if base == "sylvester" else SKEW_HADAMARD_4).copy()
+    m[list(rows)] *= -1
+    m[:, list(cols)] *= -1
+    # the first row, read with its first entry made +1, still has a -1,
+    # so the column loop has columns to negate
+    assert (m[0] * m[0, 0] == -1).any()
+    got = normalize(HadamardMatrix(m)).matrix
+    assert brute_force_normal_forms(m) == {got.tobytes()}
+    assert is_normalized(HadamardMatrix(got))
 
 def test_normalize_is_idempotent():
     h = normalize(paley_skew(7))

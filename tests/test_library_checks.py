@@ -2,6 +2,7 @@
 under ``python -O``, which strips ``assert`` statements."""
 
 import ast
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -167,3 +168,23 @@ def test_integral_entries_of_any_type_are_taken(monkeypatch):
     for rows in ([[0, 1], [1, 0]], np.eye(2, dtype=bool), np.eye(2, dtype=np.uint32)):
         assert _frozen(rows).dtype == as_int_matrix(rows).dtype == np.int64
         assert Digraph.from_strip(rows, loops_allowed=True).adjacency.sum() == 2
+
+
+@pytest.mark.parametrize("rows", [
+    [[0, np.nan]], [[0, np.inf]], [[0, -np.inf]], [[0, 2.0**63]], [[0, -2.0**64]],
+    np.array([[0, 2**63]], dtype=np.float32), [[0, 1 + 1j]], [[0, 1 + 0j]],
+], ids=["nan", "inf", "-inf", "2^63", "-2^64", "float32_2^63", "complex", "complex_real"])
+def test_non_integers_are_refused_without_a_cast_warning(rows):
+    # any warning is an error here, so one emitted before the refusal fails
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for build in (as_int_matrix, _frozen, Digraph):
+            with pytest.raises(ValueError, match="integers in the int64 range"):
+                build(rows)
+
+
+def test_floats_at_the_ends_of_the_int64_range_are_taken():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = _frozen([-2.0**63, 2.0**63 - 1024])
+    assert m.tolist() == [-2**63, 2**63 - 1024]

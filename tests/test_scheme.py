@@ -191,3 +191,51 @@ def test_fused_counts_match_direct_paths():
         x, y = [int(c) for c in np.argwhere(s.relations[k] == 1)[0]]
         fused[k] = two_path_count(m, x, y)
     assert tuple(sorted(fused.values())) == report.fused_values
+
+
+def group_scheme(elements, compose):
+    """The thin scheme of a group on its own elements: x is in relation g
+    with x * g; elements[0] must be the identity."""
+    index = {g: i for i, g in enumerate(elements)}
+    n = len(elements)
+    mats = [np.zeros((n, n), dtype=np.int64) for _ in elements]
+    for x in elements:
+        for g in elements:
+            mats[index[g]][index[x], index[compose(x, g)]] = 1
+    return mats
+
+
+def test_cyclic_group_scheme_intersection_numbers():
+    n = 6
+    s = verify_scheme(group_scheme(list(range(n)), lambda x, g: (x + g) % n))
+    assert s.d == n - 1
+    # A_i A_j = A_{i+j}: p_{i,j}^k is 1 exactly when k = i + j mod n
+    for i, j, k in itertools.product(range(n), repeat=3):
+        assert s.p(i, j, k) == int(k == (i + j) % n)
+    assert_intersection_numbers_match(s)
+
+
+def test_non_commutative_group_scheme_violates_axiom_five():
+    # right multiplication in S3: axioms 1-4 hold, and the first two
+    # transpositions (1 2) and (0 1) do not commute
+    perms = list(itertools.permutations(range(3)))
+    mats = group_scheme(perms, lambda x, g: tuple(x[g[i]] for i in range(3)))
+    with pytest.raises(SchemeError) as exc:
+        verify_scheme(mats)
+    assert exc.value.axiom == 5
+    assert str(exc.value) == "axiom (5) violated: A_1 and A_2 do not commute"
+
+
+@pytest.mark.parametrize("mats, axiom, message", [
+    ([], 1, "no relation matrices given"),
+    ([identity(3), np.ones((3, 2), dtype=np.int64)], 1,
+     "relation 1 has shape (3, 2), expected (3, 3)"),
+    ([identity(2), 2 * (ones(2) - identity(2))], 1, "relation 1 is not a 0/1 matrix"),
+    ([identity(3), ones(3) - identity(3), np.zeros((3, 3), dtype=np.int64)], 2,
+     "relation 2 is empty"),
+], ids=["no_relations", "shape", "not_zero_one", "empty_relation"])
+def test_scheme_axiom_messages(mats, axiom, message):
+    with pytest.raises(SchemeError) as exc:
+        verify_scheme(mats)
+    assert (exc.value.axiom, exc.value.detail) == (axiom, message)
+    assert str(exc.value) == f"axiom ({axiom}) violated: {message}"

@@ -1,4 +1,5 @@
 from dataclasses import astuple, fields
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -123,6 +124,50 @@ def test_feasibility_invariant_violation():
         with pytest.raises(ValueError, match="parameter invariants violated"):
             feasibility(DezaParams(*params))
 
+
+
+def feasibility_with_inequality(n, k, b, a, t):
+    """(feasible, reason) from the closed-form partner counts, still
+    testing a(n-1) < k^2 - t < b(n-1) once both counts are nonzero; None
+    where the counts are undefined (a = b = 0, k^2 != t)."""
+    if a != b:
+        af = Fraction(b * (n - 1) - k * k + t, b - a)
+        bf = Fraction(a * (n - 1) - k * k + t, a - b)
+    elif a != 0:
+        af = bf = Fraction(k * k - t, a)
+    elif k * k == t:
+        af = bf = Fraction(n - 1)
+    else:
+        return None
+    if af.denominator != 1 or bf.denominator != 1:
+        return False, "partner counts not integral"
+    if af < 0 or bf < 0:
+        return False, "partner count negative"
+    if a == b and k * k - t != a * (n - 1):
+        return False, f"a = b requires k^2 - t = a(n-1), got {k*k - t} != {a*(n-1)}"
+    if a < b and af != 0 and bf != 0 and not a * (n - 1) < k * k - t < b * (n - 1):
+        return False, (f"inequality a(n-1) < k^2 - t < b(n-1) fails: "
+                       f"{a*(n-1)}, {k*k - t}, {b*(n-1)}")
+    return True, None
+
+
+def test_feasibility_agrees_with_the_inequality_reference():
+    # every tuple 0 <= a <= b <= k < n <= 16, 0 <= t <= k
+    both_nonzero = 0
+    for n in range(1, 17):
+        for k in range(n):
+            for b in range(k + 1):
+                for a in range(b + 1):
+                    for t in range(k + 1):
+                        want = feasibility_with_inequality(n, k, b, a, t)
+                        if want is None:
+                            with pytest.raises(ValueError, match="counts undefined"):
+                                feasibility(DezaParams(n, k, b, a, t))
+                            continue
+                        f = feasibility(DezaParams(n, k, b, a, t))
+                        assert (f.feasible, f.reason) == want, (n, k, b, a, t)
+                        both_nonzero += a < b and f.alpha > 0 and f.beta > 0
+    assert both_nonzero > 1000
 
 def test_dsrg_paley():
     rep = verify_dsrg(dz.paley_tournament(7))
@@ -269,6 +314,20 @@ def test_reflexive_complete():
     assert rep.square.offdiag_values == (4,)
     assert rep.gram.offdiag_values == (4,)
 
+
+
+def test_reflexive_five_tuple_is_none_without_two_valued_params():
+    irregular = identity(4)
+    irregular[3, 2] = 1
+    rep = verify_reflexive_directed_deza(Digraph(irregular, loops_allowed=True))
+    assert not rep.ok
+    assert rep.five_tuple("square") is rep.five_tuple("gram") is None
+    # M^2 takes three values off the diagonal, M M^t = M^t M two
+    m = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [1, 0, 1, 0], [0, 1, 0, 1]], dtype=np.int64)
+    rep = verify_reflexive_directed_deza(Digraph(m, loops_allowed=True))
+    assert rep.ok and rep.matched == ("gram",)
+    assert rep.five_tuple("square") is None
+    assert rep.five_tuple("gram") == (4, 2, 1, 0, 1)
 
 def test_reflexive_requires_all_loops():
     with pytest.raises(ValueError):
