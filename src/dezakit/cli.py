@@ -40,14 +40,6 @@ def normalized_hadamard(order: int) -> HadamardMatrix:
             f"no built-in Hadamard matrix of order {order}; supply one via --hadamard")
 
 
-def _load_hadamard(path: str) -> HadamardMatrix:
-    return HadamardMatrix(fileio.read_matrix(path))
-
-
-def _write_digraph(d: Digraph, path: str):
-    fileio.write_matrix(d.adjacency, path)
-
-
 def _required(args, fam: str, name: str):
     """The value of option --name, which family fam cannot do without."""
     value = getattr(args, name)
@@ -65,18 +57,18 @@ def _cmd_construct(args) -> int:
             raise ValueError("lex-product takes exactly two input files")
         d1 = fileio.read_digraph(args.inputs[0])
         d2 = fileio.read_digraph(args.inputs[1])
-        _write_digraph(construct.lex_product(d1, d2), args.out)
+        fileio.write_matrix(construct.lex_product(d1, d2).adjacency, args.out)
     elif fam == "skew-hadamard":
         if args.hadamard:
-            h = _load_hadamard(args.hadamard)
+            h = HadamardMatrix(fileio.read_matrix(args.hadamard))
         elif args.u is not None:
             h = paley_skew(4 * args.u - 1)
         else:
             raise ValueError("skew-hadamard needs --u or --hadamard")
-        _write_digraph(construct.skew_hadamard_deza(h), args.out)
+        fileio.write_matrix(construct.skew_hadamard_deza(h).adjacency, args.out)
     elif fam in ("twin", "twin-directed"):
         if args.hadamard:
-            h = _load_hadamard(args.hadamard)
+            h = HadamardMatrix(fileio.read_matrix(args.hadamard))
             if not is_normalized(h):
                 h = normalize(h)
         elif args.order is not None:
@@ -93,23 +85,24 @@ def _cmd_construct(args) -> int:
             pair, (ra, rb) = construct.twin_directed(h)
         a, b, base = pair.positive_part, pair.negative_part, args.out
         fileio.write_matrix(a.adjacency - b.adjacency, f"{base}_K.txt")
-        _write_digraph(a, f"{base}_A.txt")
-        _write_digraph(b, f"{base}_B.txt")
-        _write_digraph(ra, f"{base}_RA.txt")
-        _write_digraph(rb, f"{base}_RB.txt")
+        fileio.write_matrix(a.adjacency, f"{base}_A.txt")
+        fileio.write_matrix(b.adjacency, f"{base}_B.txt")
+        fileio.write_matrix(ra.adjacency, f"{base}_RA.txt")
+        fileio.write_matrix(rb.adjacency, f"{base}_RB.txt")
     elif fam == "drt":
-        _write_digraph(scheme.paley_tournament(_required(args, fam, "q")), args.out)
+        fileio.write_matrix(scheme.paley_tournament(_required(args, fam, "q")).adjacency, args.out)
     elif fam == "field-type2":
         field = odd_prime_power_field(_required(args, fam, "q"))
         if not 0 <= args.alpha < field.q:
             raise ValueError(f"--alpha {args.alpha} is not an element index in [0, {field.q})")
-        _write_digraph(construct.field_type2(field, field.element(args.alpha)), args.out)
+        fileio.write_matrix(construct.field_type2(field, field.element(args.alpha)).adjacency,
+                            args.out)
     elif fam == "qr-design":
         fileio.write_matrix(construct.qr_symmetric_design(_required(args, fam, "q")), args.out)
     elif fam == "paley-graph":
-        _write_digraph(construct.paley_graph(_required(args, fam, "q")), args.out)
+        fileio.write_matrix(construct.paley_graph(_required(args, fam, "q")).adjacency, args.out)
     elif fam == "empty":
-        _write_digraph(construct.empty_digraph(_required(args, fam, "n")), args.out)
+        fileio.write_matrix(construct.empty_digraph(_required(args, fam, "n")).adjacency, args.out)
     else:
         raise ValueError(f"unknown family {fam!r}")
     return EXIT_OK
@@ -163,9 +156,15 @@ def _run_classifier(name: str, d: Digraph, partition,
     out.update({"classifier": name, "ok": rep.ok})
     if name == "deza" and rep.ok and children_prefix:
         out["children"] = {"x": f"{children_prefix}_X.txt", "y": f"{children_prefix}_Y.txt"}
-        for child, path in zip(verify._children(d, rep.params), out["children"].values()):
-            _write_digraph(child, path)
+        _write_children(d, rep.params, out["children"].values())
     return out
+
+
+def _write_children(d: Digraph, params: DezaParams, paths) -> None:
+    """Write the position digraphs X and Y of d, verified with directed
+    Deza parameters params, to the two paths."""
+    for child, path in zip(verify._children(d, params), paths):
+        fileio.write_matrix(child.adjacency, path)
 
 
 def _read_partition(path: str) -> list[list[int]]:
@@ -203,8 +202,7 @@ def _cmd_children(args) -> int:
     if not rep.ok:
         print(f"verification failed: {rep.witness}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
-    for child, path in zip(verify._children(d, rep.params), (args.out_x, args.out_y)):
-        _write_digraph(child, path)
+    _write_children(d, rep.params, (args.out_x, args.out_y))
     return EXIT_OK
 
 
@@ -218,7 +216,7 @@ def _cmd_decompose(args) -> int:
     except ValueError as exc:
         print(f"decomposition failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
-    _write_digraph(dec.quotient, args.out_quotient)
+    fileio.write_matrix(dec.quotient.adjacency, args.out_quotient)
     print(f"class size {dec.class_size}, quotient order {dec.quotient.n}")
     return EXIT_OK
 

@@ -308,21 +308,6 @@ def check_construction_identities(field: FiniteField) -> IdentityReport:
     elems = field.elements
     reps = {e: rep(field, e) for e in elems}
     aux = {(a, al): auxiliary_matrix(field, a, al) for a in syms for al in elems}
-    checks: list[IdentityCheck] = []
-
-    def record(name: str, fail: str | None):
-        checks.append(IdentityCheck(name, fail is None, fail))
-
-    def first_failure(pred_iter):
-        for desc, ok in pred_iter:
-            if not ok:
-                return desc
-        return None
-
-    record("transpose", first_failure(
-        (f"a={a}, alpha={al}",
-         np.array_equal(aux[(a, al)].T, aux[(a, field.neg(al))]))
-        for a in syms for al in elems))
 
     def sum_ok(al):
         total = sum(aux[(a, al)] for a in syms)
@@ -330,41 +315,11 @@ def check_construction_identities(field: FiniteField) -> IdentityReport:
                     + kronecker(ones(q) + reps[al] - identity(q), ones(q)))
         return np.array_equal(total, expected)
 
-    record("symbol_sum", first_failure(
-        (f"alpha={al}", sum_ok(al)) for al in elems))
-
-    record("same_symbol_product", first_failure(
-        (f"a={a}, alpha={al}, alpha'={al2}",
-         np.array_equal(exact_matmul(aux[(a, al)], aux[(a, al2)]),
-                        q * aux[(a, field.add(al, al2))]))
-        for a in syms for al in elems for al2 in elems))
-
-    record("distinct_symbol_product", first_failure(
-        (f"a={a}, a'={b}, alpha={al}, alpha'={al2}",
-         np.array_equal(exact_matmul(aux[(a, al)], aux[(b, al2)]), ones(q * q)))
-        for a in syms for b in syms if a != b
-        for al in elems for al2 in elems))
-
-    record("shift_action", first_failure(
-        (f"alpha={al}, alpha'={al2}, alpha''={al3}",
-         np.array_equal(exact_matmul(kronecker(identity(q), reps[al3]), aux[(al, al2)]),
-                        aux[(al, field.add(al2, al3))]))
-        for al in elems for al2 in elems for al3 in elems))
-
-    record("shift_fixes_y_blocks", first_failure(
-        (f"alpha={al}, alpha'={al2}",
-         np.array_equal(exact_matmul(kronecker(identity(q), reps[al]), aux[("y", al2)]),
-                        aux[("y", al2)]))
-        for al in elems for al2 in elems))
-
     cross = zeros(size)
     for a in syms:
         for b in syms:
             if a != b:
                 cross += exact_matmul(shift_indicator(field, a), shift_indicator(field, b))
-    record("offset_double_cover",
-           None if np.array_equal(cross, 2 * q * (ones(size) - identity(size)))
-           else "sum over distinct symbol pairs")
 
     n_strips = {al: field_type2(field, al).adjacency[:q * q] for al in elems}
 
@@ -383,8 +338,41 @@ def check_construction_identities(field: FiniteField) -> IdentityReport:
             expected = expected + q * kronecker(wave[:1], aux[(a, gamma)])
         return np.array_equal(exact_matmul(n_strips[al], n_strips[be]), expected)
 
-    record("product_expansion", first_failure(
-        (f"alpha={al}, beta={be}", expansion_ok(al, be))
-        for al in elems for be in elems))
-
+    # each identity's (counterexample, holds) pairs, evaluated lazily in order
+    cases = {
+        "transpose": (
+            (f"a={a}, alpha={al}",
+             np.array_equal(aux[(a, al)].T, aux[(a, field.neg(al))]))
+            for a in syms for al in elems),
+        "symbol_sum": ((f"alpha={al}", sum_ok(al)) for al in elems),
+        "same_symbol_product": (
+            (f"a={a}, alpha={al}, alpha'={al2}",
+             np.array_equal(exact_matmul(aux[(a, al)], aux[(a, al2)]),
+                            q * aux[(a, field.add(al, al2))]))
+            for a in syms for al in elems for al2 in elems),
+        "distinct_symbol_product": (
+            (f"a={a}, a'={b}, alpha={al}, alpha'={al2}",
+             np.array_equal(exact_matmul(aux[(a, al)], aux[(b, al2)]), ones(q * q)))
+            for a in syms for b in syms if a != b
+            for al in elems for al2 in elems),
+        "shift_action": (
+            (f"alpha={al}, alpha'={al2}, alpha''={al3}",
+             np.array_equal(exact_matmul(kronecker(identity(q), reps[al3]), aux[(al, al2)]),
+                            aux[(al, field.add(al2, al3))]))
+            for al in elems for al2 in elems for al3 in elems),
+        "shift_fixes_y_blocks": (
+            (f"alpha={al}, alpha'={al2}",
+             np.array_equal(exact_matmul(kronecker(identity(q), reps[al]), aux[("y", al2)]),
+                            aux[("y", al2)]))
+            for al in elems for al2 in elems),
+        "offset_double_cover": [
+            ("sum over distinct symbol pairs",
+             np.array_equal(cross, 2 * q * (ones(size) - identity(size))))],
+        "product_expansion": ((f"alpha={al}, beta={be}", expansion_ok(al, be))
+                              for al in elems for be in elems),
+    }
+    checks = []
+    for name, pairs in cases.items():
+        fail = next((desc for desc, holds in pairs if not holds), None)
+        checks.append(IdentityCheck(name, fail is None, fail))
     return IdentityReport(q, tuple(checks))

@@ -60,17 +60,28 @@ def _quotient_certificate(m: np.ndarray, classes: list[list[int]]) -> tuple[np.n
     return quotient, tuple(class_map)
 
 
-def _lex_quotient(d: Digraph, report, s: np.ndarray,
-                  relation: str) -> tuple[np.ndarray, tuple[int, ...], int]:
-    """Quotient adjacency, class map and class size of the relation
-    "statistic = b" of a verified report, s the statistic's strip with
-    diagonal b: an equivalence that certifies M = M_q x J.  A class is a
-    vertex and its b-partners, beta of them at every vertex or the fit raises."""
-    classes = _equivalence_classes(block_circulant(s == report.params.b))
+def _decompose(d: Digraph, verifier, member: str, degree: str, trivial: str,
+               statistic: str, relation: str) -> Decomposition:
+    """Write d as quotient[empty blocks] once verifier(d) passes with b
+    equal to the params field named degree and a != b.  The relation
+    "statistic = b", statistic naming d's strip and read only then, must
+    be an equivalence whose classes certify M = M_q x J.  A class is a
+    vertex and its b-partners, beta of them at every vertex or the fit
+    raises.  member and relation name the two in the refusals, and
+    trivial ends the a = b one."""
+    report = verifier(d)
+    if not report.ok:
+        raise ValueError(f"not a {member}: {report.witness}")
+    b, value = report.params.b, getattr(report.params, degree)
+    if b != value:
+        raise ValueError(f"b = {b} differs from {degree} = {value}")
+    if report.params.a == b:
+        raise ValueError(f"a = b leaves the quotient relation trivial{trivial}")
+    classes = _equivalence_classes(block_circulant(getattr(d, statistic) == b))
     if classes is None:
         raise ValueError(f"the {relation} relation is not an equivalence")
     quotient_m, class_map = _quotient_certificate(d.adjacency, classes)
-    return quotient_m, class_map, report.beta + 1
+    return Decomposition(Digraph(quotient_m), report.beta + 1, class_map)
 
 
 def decompose_b_eq_t(d: Digraph) -> Decomposition:
@@ -81,17 +92,9 @@ def decompose_b_eq_t(d: Digraph) -> Decomposition:
     must equal Q x J exactly.  Then M^2 = n2 Q^2 x J, and N_uv = a across
     classes, where N_uv != b: Q is the DSRG (n, k, a, a, b) / n2, lam = mu.
     """
-    report = verify_deza_digraph(d)
-    if not report.ok:
-        raise ValueError(f"not a directed Deza graph: {report.witness}")
-    params: DezaParams = report.params
-    if params.b != params.t:
-        raise ValueError(f"b = {params.b} differs from t = {params.t}")
-    if params.a == params.b:
-        raise ValueError("a = b leaves the quotient relation trivial; "
-                         "decomposition requires two distinct path counts")
-    quotient_m, class_map, n2 = _lex_quotient(d, report, d.square_strip, "b-count")
-    return Decomposition(Digraph(quotient_m), n2, class_map)
+    return _decompose(d, verify_deza_digraph, "directed Deza graph", "t",
+                      "; decomposition requires two distinct path counts",
+                      "square_strip", "b-count")
 
 
 def decompose_type2_b_eq_k(d: Digraph) -> Decomposition:
@@ -99,17 +102,8 @@ def decompose_type2_b_eq_k(d: Digraph) -> Decomposition:
     identical neighbourhoods collapse to the points of a symmetric design.
     Once M = Q x J, M M^t = n2 Q Q^t x J equals M^t M = n2 Q^t Q x J and
     is a across classes: Q is the symmetric (n, k, a) / n2 design."""
-    report = verify_type2(d)
-    if not report.ok:
-        raise ValueError(f"not a type-II directed Deza graph: {report.witness}")
-    params = report.params
-    if params.b != params.k:
-        raise ValueError(f"b = {params.b} differs from k = {params.k}")
-    if params.a == params.b:
-        raise ValueError("a = b leaves the quotient relation trivial")
-    quotient_m, class_map, n2 = _lex_quotient(d, report, d.gram_strip,
-                                              "shared-neighbourhood")
-    return Decomposition(Digraph(quotient_m), n2, class_map)
+    return _decompose(d, verify_type2, "type-II directed Deza graph", "k", "",
+                      "gram_strip", "shared-neighbourhood")
 
 
 # ---------------------------------------------------------------------------

@@ -97,7 +97,8 @@ class FusionReport:
 
     fused_values lists sum_{f,g in F} p_{f,g}^k over k >= 1; the fusion
     is a directed Deza graph exactly when at most two values occur.
-    t_from_scheme is sum_{f in F} p_{f,f}^0; the direct verification of
+    t_from_scheme is the k = 0 sum, (A_F^2)[x, x]: pairs f != g count when
+    F holds a relation and its transpose.  The direct verification of
     the fused digraph is carried alongside for cross-checking.
     """
 
@@ -117,7 +118,7 @@ def fusion_digraph(scheme: AssociationScheme, fuse) -> tuple[Digraph, FusionRepo
     fused = scheme.intersection_numbers[np.ix_(f_set, f_set)].sum(axis=(0, 1))
     values = tuple(sorted({int(fused[k]) for k in range(1, scheme.d + 1)}))
     at_most_two = len(values) <= 2
-    t_scheme = int(sum(scheme.intersection_numbers[f, f, 0] for f in f_set))
+    t_scheme = int(fused[0])
     digraph = Digraph(adjacency)
     verification = verify_deza_digraph(digraph)
     k = int(adjacency[0].sum())

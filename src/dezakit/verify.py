@@ -118,6 +118,14 @@ def _regularity(d: Digraph) -> tuple[int | None, str | None]:
     return k, None
 
 
+def _loop_free_regularity(d: Digraph, loops: str) -> tuple[int | None, str | None]:
+    """_regularity of d, which must have no loop: ValueError(loops) if it has."""
+    # a Digraph made without loops_allowed was checked loop-free
+    if d.loops_allowed and np.diagonal(d.strip).any():
+        raise ValueError(loops)
+    return _regularity(d)
+
+
 def _offdiag(s: np.ndarray) -> np.ndarray:
     """The off-diagonal entries of the h x n strip s, all but s[i, i]
     for i < h.  A square s gives an (n-1) x n array: the flat entries
@@ -232,10 +240,7 @@ def verify_deza_digraph(d: Digraph) -> VerificationReport:
     graph and the a = b case as a DSRG.
     """
     n = d.n
-    # a Digraph made without loops_allowed was checked loop-free
-    if d.loops_allowed and np.diagonal(d.strip).any():
-        raise ValueError("digraph has loops; use the reflexive verifier")
-    k, witness = _regularity(d)
+    k, witness = _loop_free_regularity(d, "digraph has loops; use the reflexive verifier")
     if witness:
         return _fail(witness)
     s = d.square_strip
@@ -305,9 +310,7 @@ def feasibility(params: DezaParams) -> Feasibility:
 def verify_dsrg(d: Digraph) -> VerificationReport:
     """Fit M^2 = tI + lam*M + mu*(J - I - M) exactly."""
     n = d.n
-    if d.loops_allowed and np.diagonal(d.strip).any():
-        raise ValueError("digraph has loops")
-    k, witness = _regularity(d)
+    k, witness = _loop_free_regularity(d, "digraph has loops")
     if witness:
         return _fail(witness)
     s = d.square_strip
@@ -329,9 +332,7 @@ def verify_dsrg(d: Digraph) -> VerificationReport:
 def verify_type2(d: Digraph) -> VerificationReport:
     """Fit type-II parameters: M M^t = M^t M = aX + bY + kI with X + Y + I = J."""
     n = d.n
-    if d.loops_allowed and np.diagonal(d.strip).any():
-        raise ValueError("digraph has loops; use the reflexive verifier")
-    k, witness = _regularity(d)
+    k, witness = _loop_free_regularity(d, "digraph has loops; use the reflexive verifier")
     if witness:
         return _fail(witness)
     g, g2 = d.gram_strip, d.cogram_strip

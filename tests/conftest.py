@@ -1,6 +1,7 @@
 """Shared test data: the two reference order-8 adjacency matrices, the
-Hadamard matrices they derive from, session-cached search results, and
-the hypothesis profile every property test runs under."""
+Hadamard matrices they derive from, the identity suite's check names,
+session-cached search results, and the hypothesis profile every
+property test runs under."""
 
 from __future__ import annotations
 
@@ -54,6 +55,11 @@ NORMALIZED_HADAMARD_4 = np.array([
     [1, -1, 1, -1],
     [1, -1, -1, 1],
 ], dtype=np.int64)
+
+# the checks of construct.check_construction_identities, in report order
+IDENTITY_CHECKS = ("transpose", "symbol_sum", "same_symbol_product", "distinct_symbol_product",
+                   "shift_action", "shift_fixes_y_blocks", "offset_double_cover",
+                   "product_expansion")
 
 
 @pytest.fixture(scope="session")

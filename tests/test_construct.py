@@ -18,7 +18,7 @@ from dezakit.verify import (DezaParams, DsrgParams, verify_ddd,
                             verify_deza_digraph, verify_deza_graph,
                             verify_dsrg, verify_type2)
 
-from conftest import DEZA_8_3_3_1_0, kronecker_rep
+from conftest import DEZA_8_3_3_1_0, IDENTITY_CHECKS, kronecker_rep
 
 
 def lex_arc_oracle(d1, d2, x1, y1, x2, y2):
@@ -515,6 +515,26 @@ def test_identity_suite_q3():
     assert report.all_passed, [c for c in report.checks if not c.passed]
     names = {c.name for c in report.checks}
     assert "product_expansion" in names and "offset_double_cover" in names
+
+
+def _negated(inner):
+    return lambda field, e: inner(field, field.neg(e))
+
+
+@pytest.mark.parametrize("ingredient, failures", [
+    ("rep", {"symbol_sum": "alpha=(1,)",
+             "shift_action": "alpha=(0,), alpha'=(0,), alpha''=(1,)",
+             "product_expansion": "alpha=(0,), beta=(1,)"}),
+    ("field_type2", {"product_expansion": "alpha=(0,), beta=(1,)"}),
+])
+def test_identity_suite_reports_each_first_counterexample(monkeypatch, ingredient, failures):
+    # the ingredient is read at -alpha where the suite asks for alpha
+    monkeypatch.setattr(construct, ingredient, _negated(getattr(construct, ingredient)))
+    report = check_construction_identities(dz.make_field(3, 1))
+    assert tuple(c.name for c in report.checks) == IDENTITY_CHECKS
+    assert {c.name: c.counterexample for c in report.checks if not c.passed} == failures
+    assert all(c.passed == (c.counterexample is None) for c in report.checks)
+    assert not report.all_passed
 
 
 def test_identity_suite_rejects_large_field():

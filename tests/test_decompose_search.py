@@ -161,6 +161,26 @@ def test_quotient_certificate_names_first_uneven_block():
                               "the relation classes do not induce a lexicographic structure")
 
 
+# C_3 + C_2, whose diag(M^2) is 0 then 1, and a 2-regular digraph with
+# M M^t != M^t M: each fails the verifier its decomposition runs first
+CYCLES_3_2 = np.array([[0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [1, 0, 0, 0, 0],
+                       [0, 0, 0, 0, 1], [0, 0, 0, 1, 0]])
+NON_NORMAL_5 = np.array([[0, 1, 1, 0, 0], [1, 0, 1, 0, 0], [0, 0, 0, 1, 1],
+                         [1, 0, 0, 0, 1], [0, 1, 0, 1, 0]])
+
+
+@pytest.mark.parametrize("decompose, m, message", [
+    (decompose_b_eq_t, CYCLES_3_2, "not a directed Deza graph: "
+     "diag(M^2) not constant: vertex 3 has 1, vertex 0 has 0"),
+    (decompose_type2_b_eq_k, NON_NORMAL_5, "not a type-II directed Deza graph: "
+     "M M^t != M^t M first at (0, 1): 1 vs 0"),
+], ids=["b-eq-t", "b-eq-k"])
+def test_decompositions_refuse_non_members(decompose, m, message):
+    with pytest.raises(ValueError) as err:
+        decompose(Digraph(m))
+    assert str(err.value) == message
+
+
 def test_b_eq_k_rejects_wrong_parameters():
     f3 = dz.make_field(3, 1)
     d = dz.field_type2(f3, f3.element(1))

@@ -18,7 +18,7 @@ from dezakit.fileio import (MatrixParseError, _digraph6_order_bytes, _matrix_tex
 from dezakit.hadamard import is_normalized
 from dezakit.matrix_core import MAX_ORDER, Digraph
 
-from conftest import (DEZA_8_3_3_1_0, DEZA_8_4_3_1_1, NORMALIZED_HADAMARD_4,
+from conftest import (DEZA_8_3_3_1_0, DEZA_8_4_3_1_1, IDENTITY_CHECKS, NORMALIZED_HADAMARD_4,
                       SKEW_HADAMARD_4)
 
 
@@ -452,8 +452,31 @@ def test_cli_decompose_failure(tmp_path, deza_8_3):
                    "--out-quotient", tmp_path / "q.txt") == 1
 
 
-def test_cli_check_identities():
+@pytest.mark.parametrize("mode, member", [("b-eq-t", "directed Deza graph"),
+                                          ("b-eq-k", "type-II directed Deza graph")])
+def test_cli_decompose_refuses_a_non_member(tmp_path, capsys, mode, member):
+    # the path 0 -> 1 -> 2 is not regular
+    mfile, quotient = tmp_path / "m.txt", tmp_path / "q.txt"
+    write_matrix(np.eye(3, k=1, dtype=np.int64), mfile)
+    assert run_cli("decompose", mfile, "--mode", mode, "--out-quotient", quotient) == 1
+    assert capsys.readouterr() == ("", f"decomposition failed: not a {member}: "
+                                       "out-degrees not constant: vertex 2 has 0, vertex 0 has 1\n")
+    assert not quotient.exists()
+
+
+def test_cli_check_identities(capsys):
     assert run_cli("check-identities", "--q", 3) == 0
+    assert capsys.readouterr() == ("".join(f"ok   {name}\n" for name in IDENTITY_CHECKS), "")
+
+
+def test_cli_check_identities_prints_the_first_counterexample(capsys, monkeypatch):
+    # N_alpha built as N_{-alpha}: only the product expansion can see it
+    inner = dz.construct.field_type2
+    monkeypatch.setattr(dz.construct, "field_type2", lambda f, al: inner(f, f.neg(al)))
+    assert run_cli("check-identities", "--q", 3) == 1
+    assert capsys.readouterr().out == (
+        "".join(f"ok   {name}\n" for name in IDENTITY_CHECKS[:-1])
+        + "FAIL product_expansion: first counterexample alpha=(0,), beta=(1,)\n")
 
 
 @pytest.mark.parametrize("q, code", [(9, 3), (11, 3), (12, 2)])

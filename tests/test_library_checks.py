@@ -32,6 +32,22 @@ def test_verify_reads_no_adjacency():
     assert found == []
 
 
+def test_every_private_helper_is_referenced():
+    # a module-level private function is named, as a Name or an Attribute,
+    # by some top-level statement of the package other than its own def;
+    # a docstring mention is no reference
+    src = Path(dezakit.__file__).parent
+    statements = [node for path in sorted(src.glob("*.py"))
+                  for node in ast.parse(path.read_text(encoding="utf-8")).body]
+    names = [{n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+              if isinstance(n, (ast.Name, ast.Attribute))} for node in statements]
+    orphans = [node.name for i, node in enumerate(statements)
+               if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+               and not node.name.startswith("__")
+               and not any(node.name in seen for j, seen in enumerate(names) if j != i)]
+    assert orphans == []
+
+
 def _written_names(target):
     """The names an assignment target, or the receiver of a method call,
     writes through: rows for rows[u] = x, rows.append(x) or rows = x."""

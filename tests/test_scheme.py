@@ -239,3 +239,20 @@ def test_scheme_axiom_messages(mats, axiom, message):
         verify_scheme(mats)
     assert (exc.value.axiom, exc.value.detail) == (axiom, message)
     assert str(exc.value) == f"axiom ({axiom}) violated: {message}"
+
+
+@pytest.mark.parametrize("kind, n", [("tournament", q) for q in (3, 7, 11)]
+                         + [("cyclic", n) for n in range(5, 9)])
+def test_fusion_t_counts_every_pair_of_fused_relations(kind, n):
+    """t is (A_F^2)[x, x] = sum_{f, g in F} p_{f,g}^0: a fusion holding a
+    relation and its transpose, such as both classes of a tournament,
+    counts the closed two-paths through the pair.  Every nonempty F."""
+    s = (tournament_scheme(n) if kind == "tournament"
+         else verify_scheme(group_scheme(list(range(n)), lambda x, g: (x + g) % n)))
+    for size in range(1, s.d + 1):
+        for fuse in itertools.combinations(range(1, s.d + 1), size):
+            digraph, report = fusion_digraph(s, fuse)
+            m = digraph.adjacency
+            assert report.t_from_scheme == int((m @ m)[0, 0]), fuse
+            if report.at_most_two and report.verification.ok:
+                assert report.params == report.verification.params, fuse
